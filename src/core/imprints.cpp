@@ -387,25 +387,19 @@ ImprintMask ImprintsIndex::MaskForRange(double lo, double hi) const {
   for (uint32_t b = bin_lo; b <= bin_hi && b < nbins; ++b) {
     m.query |= uint64_t{1} << b;
   }
-  // Inner mask: bins strictly inside the query range. A boundary bin is
-  // fully covered only when the query endpoint coincides with the bin edge;
-  // we include bin_hi when hi equals its upper bound, and bin_lo when lo
-  // lies at or below the previous bin's upper bound (i.e. lo is the bin's
-  // open lower edge — only possible for bin 0 with lo == -inf, so in
-  // practice the strict interior).
-  for (uint32_t b = bin_lo + 1; b < bin_hi && b < nbins; ++b) {
+  // Inner mask: bins whose every value lies in [lo, hi]. Bin b holds
+  // (upper(b - 1), upper(b)], so the bins strictly between bin_lo and
+  // bin_hi always qualify. bin_lo's values may fall below lo: BinOf(lo) ==
+  // bin_lo means lo > upper(bin_lo - 1), so only bin 0 with lo at the
+  // bottom of the domain reaches its lower edge. bin_hi qualifies when hi
+  // reaches its upper bound. A bin that is both ends needs both.
+  const bool lo_covered =
+      bin_lo == 0 && lo <= -std::numeric_limits<double>::max();
+  const bool hi_covered = hi >= bins_.upper(bin_hi);
+  const uint32_t first = lo_covered ? bin_lo : bin_lo + 1;
+  const uint32_t end = hi_covered ? bin_hi + 1 : bin_hi;  // exclusive
+  for (uint32_t b = first; b < end && b < nbins; ++b) {
     m.inner |= uint64_t{1} << b;
-  }
-  if (bin_hi < nbins && hi >= bins_.upper(bin_hi)) {
-    m.inner |= uint64_t{1} << bin_hi;
-  }
-  if (bin_lo > 0 && lo <= bins_.upper(bin_lo - 1)) {
-    // lo exactly on the open edge: every value of bin_lo is > upper(bin_lo-1)
-    // >= lo only when lo < all bin values, which needs strict comparison;
-    // since bins are (prev, cur] and lo <= prev bound, all bin values > lo.
-    m.inner |= uint64_t{1} << bin_lo;
-  } else if (bin_lo == 0 && lo <= -std::numeric_limits<double>::max()) {
-    m.inner |= uint64_t{1};
   }
   // The inner mask may never admit bins outside the query mask.
   m.inner &= m.query;

@@ -411,74 +411,6 @@ Result<SelectionResult> ShardRouter::Execute(
   return result;
 }
 
-Result<double> ShardRouter::AggregateGlobalRows(
-    const ShardsView& view, const std::vector<uint64_t>& rows,
-    const std::string& column, AggKind kind, ThreadPool* pool) const {
-  if (kind == AggKind::kCount) return static_cast<double>(rows.size());
-  std::vector<ColumnPtr> columns;
-  columns.reserve(view.shards.size());
-  for (const auto& shard : view.shards) {
-    GEOCOL_ASSIGN_OR_RETURN(ColumnPtr col, shard->GetColumn(column));
-    columns.push_back(std::move(col));
-  }
-  double out = std::nan("");
-  if (rows.empty()) return out;
-  bool any_paged = false;
-  for (const ColumnPtr& col : columns) any_paged |= col->paged();
-  Status gather_status;
-  DispatchDataType(columns[0]->type(), [&]<typename T>() {
-    if (!any_paged) {
-      std::vector<std::span<const T>> spans;
-      spans.reserve(columns.size());
-      for (const ColumnPtr& col : columns) spans.push_back(col->Values<T>());
-      out = AggregateValues<T>(rows, kind, pool, [&](size_t i) {
-        const uint64_t r = rows[i];
-        size_t s = ShardIndexFor(view.bases, r);
-        return spans[s][r - view.bases[s]];
-      });
-      return;
-    }
-    // Paged shards: gather the selected values once, re-pinning only when
-    // the walk leaves the current chunk or shard. The accumulator then
-    // runs over positions exactly as in the resident branch, so sharded
-    // paged aggregates stay bit-identical to the resident ones.
-    std::vector<T> gathered(rows.size());
-    ColumnChunkPin pin;
-    size_t pin_shard = SIZE_MAX;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const uint64_t r = rows[i];
-      const size_t s = ShardIndexFor(view.bases, r);
-      const uint64_t local = r - view.bases[s];
-      const Column& col = *columns[s];
-      if (!col.paged()) {
-        gathered[i] = col.Values<T>()[local];
-        continue;
-      }
-      if (s != pin_shard || pin.keepalive == nullptr ||
-          local < pin.first_row || local >= pin.first_row + pin.row_count) {
-        auto pinned = col.PinChunk(local / col.chunk_rows());
-        if (!pinned.ok()) {
-          gather_status = pinned.status();
-          return;
-        }
-        pin = std::move(*pinned);
-        pin_shard = s;
-      }
-      gathered[i] = pin.values<T>()[local - pin.first_row];
-    }
-    out = AggregateValues<T>(rows, kind, pool,
-                             [&](size_t i) { return gathered[i]; });
-  });
-  GEOCOL_RETURN_NOT_OK(gather_status);
-  return out;
-}
-
-Result<double> ShardRouter::AggregateGlobalRows(
-    const std::vector<uint64_t>& rows, const std::string& column,
-    AggKind kind, ThreadPool* pool) const {
-  return AggregateGlobalRows(View(), rows, column, kind, pool);
-}
-
 Result<double> ShardRouter::Aggregate(
     const Geometry& geometry, double buffer,
     const std::vector<AttributeRange>& thematic, const std::string& column,
@@ -510,9 +442,10 @@ Result<double> ShardRouter::Aggregate(
   if (kind == AggKind::kCount) {
     return static_cast<double>(sel.row_ids.size());
   }
-  GEOCOL_ASSIGN_OR_RETURN(
-      double value, AggregateGlobalRows(view, sel.row_ids, column, kind,
-                                        pool_.get()));
+  GEOCOL_ASSIGN_OR_RETURN(ShardedColumnReader reader,
+                          ShardedColumnReader::Make(view, column));
+  GEOCOL_ASSIGN_OR_RETURN(double value,
+                          reader.Aggregate(sel.row_ids, kind, pool_.get()));
   if (cache_ != nullptr) cache_->InsertAggregate(agg_key, value);
   return value;
 }
@@ -701,13 +634,91 @@ Result<ShardedColumnReader> ShardedColumnReader::Make(
 }
 
 Result<ShardedColumnReader> ShardedColumnReader::Make(
-    const ShardRouter& router, const std::string& column) {
-  return Make(router.View(), column);
+    const FlatTable& table, const std::string& column) {
+  ShardedColumnReader reader;
+  GEOCOL_ASSIGN_OR_RETURN(ColumnPtr col, table.GetColumn(column));
+  reader.columns_.push_back(std::move(col));
+  reader.bases_.push_back(0);
+  return reader;
 }
 
-double ShardedColumnReader::GetDouble(uint64_t global_row) const {
-  size_t s = ShardIndexFor(bases_, global_row);
-  return columns_[s]->GetDouble(global_row - bases_[s]);
+Status ShardedColumnReader::GetDoubleBatch(const uint64_t* rows, size_t n,
+                                           double* out) const {
+  if (columns_.size() == 1) return columns_[0]->GetDoubleBatch(rows, n, out);
+  std::vector<uint64_t> local;
+  size_t i = 0;
+  while (i < n) {
+    const size_t s = ShardIndexFor(bases_, rows[i]);
+    const uint64_t base = bases_[s];
+    const uint64_t end = s + 1 < bases_.size() ? bases_[s + 1] : UINT64_MAX;
+    local.clear();
+    size_t j = i;
+    for (; j < n && rows[j] >= base && rows[j] < end; ++j) {
+      local.push_back(rows[j] - base);
+    }
+    GEOCOL_RETURN_NOT_OK(
+        columns_[s]->GetDoubleBatch(local.data(), local.size(), out + i));
+    i = j;
+  }
+  return Status::OK();
+}
+
+Result<double> ShardedColumnReader::Aggregate(
+    const std::vector<uint64_t>& rows, AggKind kind, ThreadPool* pool) const {
+  if (columns_.size() == 1) {
+    return AggregateRows(*columns_[0], rows, kind, pool);
+  }
+  if (kind == AggKind::kCount) return static_cast<double>(rows.size());
+  double out = std::nan("");
+  if (rows.empty()) return out;
+  bool any_paged = false;
+  for (const ColumnPtr& col : columns_) any_paged |= col->paged();
+  Status gather_status;
+  DispatchDataType(columns_[0]->type(), [&]<typename T>() {
+    if (!any_paged) {
+      std::vector<std::span<const T>> spans;
+      spans.reserve(columns_.size());
+      for (const ColumnPtr& col : columns_) spans.push_back(col->Values<T>());
+      out = AggregateValues<T>(rows, kind, pool, [&](size_t i) {
+        const uint64_t r = rows[i];
+        size_t s = ShardIndexFor(bases_, r);
+        return spans[s][r - bases_[s]];
+      });
+      return;
+    }
+    // Paged shards: gather the selected values once, re-pinning only when
+    // the walk leaves the current chunk or shard. The accumulator then
+    // runs over positions exactly as in the resident branch, so sharded
+    // paged aggregates stay bit-identical to the resident ones.
+    std::vector<T> gathered(rows.size());
+    ColumnChunkPin pin;
+    size_t pin_shard = SIZE_MAX;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const uint64_t r = rows[i];
+      const size_t s = ShardIndexFor(bases_, r);
+      const uint64_t local = r - bases_[s];
+      const Column& col = *columns_[s];
+      if (!col.paged()) {
+        gathered[i] = col.Values<T>()[local];
+        continue;
+      }
+      if (s != pin_shard || pin.keepalive == nullptr ||
+          local < pin.first_row || local >= pin.first_row + pin.row_count) {
+        auto pinned = col.PinChunk(local / col.chunk_rows());
+        if (!pinned.ok()) {
+          gather_status = pinned.status();
+          return;
+        }
+        pin = std::move(*pinned);
+        pin_shard = s;
+      }
+      gathered[i] = pin.values<T>()[local - pin.first_row];
+    }
+    out = AggregateValues<T>(rows, kind, pool,
+                             [&](size_t i) { return gathered[i]; });
+  });
+  GEOCOL_RETURN_NOT_OK(gather_status);
+  return out;
 }
 
 }  // namespace geocol

@@ -110,19 +110,6 @@ class ShardRouter {
                            const std::vector<AttributeRange>& thematic,
                            const std::string& column, AggKind kind);
 
-  /// Aggregates `column` over an explicit global row list, resolving each
-  /// row to its shard's local values. Runs the shared aggregation core,
-  /// so the result is bit-identical to AggregateRows over the equivalent
-  /// flat column (the SQL executor's post-selection aggregate path).
-  /// `rows` must come from a selection executed against `view`.
-  Result<double> AggregateGlobalRows(const ShardsView& view,
-                                     const std::vector<uint64_t>& rows,
-                                     const std::string& column, AggKind kind,
-                                     ThreadPool* pool = nullptr) const;
-  Result<double> AggregateGlobalRows(const std::vector<uint64_t>& rows,
-                                     const std::string& column, AggKind kind,
-                                     ThreadPool* pool = nullptr) const;
-
   /// Appends a batch (schema must equal the table's) as ONE atomic
   /// publish: rows are routed to shards by the Hilbert key of (x, y)
   /// scaled to the layout's fixed extent, each affected shard's columns
@@ -183,20 +170,28 @@ class ShardRouter {
   cache::QueryResultCache* cache_ = nullptr;
 };
 
-/// Global-row value access across shards for the SQL layer: caches one
-/// ColumnPtr per shard and translates global ids on each read. Built from
-/// a pinned view, so the columns match the selection that produced the
-/// row ids even while appends land.
+/// Global-row value access for the SQL layer, over a pinned shard view or
+/// one flat table (a single shard at base 0): holds one ColumnPtr per
+/// shard and translates global ids to shard-local ones. Built from a
+/// pinned view, the columns match the selection that produced the row ids
+/// even while appends land.
 class ShardedColumnReader {
  public:
   static Result<ShardedColumnReader> Make(const ShardsView& view,
                                           const std::string& column);
-  static Result<ShardedColumnReader> Make(const ShardRouter& router,
+  static Result<ShardedColumnReader> Make(const FlatTable& table,
                                           const std::string& column);
 
-  double GetDouble(uint64_t global_row) const;
-  DataType type() const { return columns_.empty() ? DataType::kFloat64
-                                                  : columns_[0]->type(); }
+  /// Reads the values of `n` global rows, in any order, into `out`. Each
+  /// run of rows within one shard is one batched column read, so a paged
+  /// chunk faults once per run and a chunk fault returns its Status.
+  Status GetDoubleBatch(const uint64_t* rows, size_t n, double* out) const;
+
+  /// Aggregate of the column over `rows` (from a selection against the
+  /// same view) on the shared aggregation core: bit-identical to
+  /// AggregateRows over the equivalent flat column.
+  Result<double> Aggregate(const std::vector<uint64_t>& rows, AggKind kind,
+                           ThreadPool* pool = nullptr) const;
 
  private:
   ShardedColumnReader() = default;

@@ -39,9 +39,6 @@ struct QueryTask {
   /// same engine, so equal keys mean "same table snapshot"; both engines
   /// are kept alive by their plans, so the addresses cannot alias.
   uintptr_t batch_key = 0;
-  /// Effective selection box when batch_key != 0 (the geometry envelope,
-  /// or the table extent for predicate-free statements).
-  Box viewport;
 
   // ---- Completion (set exactly once by a worker).
   void Complete(Status status, sql::ResultSet result);

@@ -100,38 +100,7 @@ bool BatchablePlan(const sql::PlannedQuery& plan) {
   if (plan.near) return false;
   if (plan.buffer != 0.0) return false;
   if (plan.stmt.explain || plan.stmt.analyze) return false;
-  if (plan.has_geometry && !plan.geometry.is_box()) return false;
-  return true;
-}
-
-Result<Box> PlanViewport(const sql::PlannedQuery& plan) {
-  Box box;
-  if (plan.has_geometry) {
-    box = plan.geometry.Envelope();
-  } else {
-    const FlatTable& table = plan.engine->table();
-    GEOCOL_ASSIGN_OR_RETURN(ColumnPtr xc, table.GetColumn("x"));
-    GEOCOL_ASSIGN_OR_RETURN(ColumnPtr yc, table.GetColumn("y"));
-    box = Box(xc->Stats().min, yc->Stats().min, xc->Stats().max,
-              yc->Stats().max);
-  }
-  // x/y attribute ranges (`x BETWEEN a AND b` parses as a range, not a
-  // geometry) narrow the viewport: no row outside them can pass the
-  // member's own conjunction, so the shared scan may skip it. The
-  // intersection is exact — ClampRangeToType of max(lo)/min(hi) accepts
-  // a value iff both clamped ranges do — which keeps the fan-out
-  // bit-identical while the superset stays proportional to the actual
-  // viewports instead of the whole table.
-  for (const AttributeRange& a : plan.thematic) {
-    if (a.column == "x") {
-      box.min_x = std::max(box.min_x, a.lo);
-      box.max_x = std::min(box.max_x, a.hi);
-    } else if (a.column == "y") {
-      box.min_y = std::max(box.min_y, a.lo);
-      box.max_y = std::min(box.max_y, a.hi);
-    }
-  }
-  return box;
+  return plan.has_geometry && plan.geometry.is_box();
 }
 
 Result<SharedScanResult> SharedScanSelect(SpatialQueryEngine* engine,
@@ -140,10 +109,12 @@ Result<SharedScanResult> SharedScanSelect(SpatialQueryEngine* engine,
   out.member_rows.resize(group.size());
 
   // Union box over the members that can select anything. A member with an
-  // inverted box (e.g. `x BETWEEN 50 AND 40`) selects nothing solo and
+  // inverted box (e.g. `x >= 50 AND x <= 40`) selects nothing solo and
   // stays an empty row set here.
   Box superset;  // default-empty; Extend skips empty member boxes
-  for (const TaskPtr& task : group) superset.Extend(task->viewport);
+  for (const TaskPtr& task : group) {
+    superset.Extend(task->plan.geometry.box());
+  }
 
   const FlatTable& table = engine->table();
   Timer scan_timer;
@@ -160,9 +131,10 @@ Result<SharedScanResult> SharedScanSelect(SpatialQueryEngine* engine,
   std::map<std::string, GatheredColumn> gathered;
   for (size_t m = 0; m < group.size(); ++m) {
     const TaskPtr& task = group[m];
-    if (task->viewport.empty()) continue;
-    predicates[m].push_back({&kX, task->viewport.min_x, task->viewport.max_x});
-    predicates[m].push_back({&kY, task->viewport.min_y, task->viewport.max_y});
+    const Box& box = task->plan.geometry.box();
+    if (box.empty()) continue;
+    predicates[m].push_back({&kX, box.min_x, box.max_x});
+    predicates[m].push_back({&kY, box.min_y, box.max_y});
     for (const AttributeRange& a : task->plan.thematic) {
       predicates[m].push_back({&a.column, a.lo, a.hi});
     }
@@ -191,7 +163,7 @@ Result<SharedScanResult> SharedScanSelect(SpatialQueryEngine* engine,
   uint64_t rows_out = 0;
   std::vector<uint64_t> words;
   for (size_t m = 0; m < group.size(); ++m) {
-    if (group[m]->viewport.empty() || n == 0) continue;
+    if (group[m]->plan.geometry.box().empty() || n == 0) continue;
     words.assign(nwords, ~uint64_t{0});
     bool nonempty = true;
     for (const RangePredicate& p : predicates[m]) {

@@ -20,20 +20,14 @@ namespace geocol {
 namespace server {
 
 /// True when `plan` may join a shared-scan batch group: a plain flat
-/// point-cloud statement whose selection is a pure box-and-thematic
-/// conjunction. Excluded: sharded tables (per-shard scans already
-/// amortize), NEAR joins (their thematic post-filter keeps NaN rows,
-/// unlike the conjunctive path), buffered geometries and non-box shapes
-/// (refinement is not a range conjunction), and EXPLAIN [ANALYZE]
-/// (answers describe execution, not data).
+/// point-cloud statement whose selection is a query box plus thematic
+/// ranges (the planner folds x/y ranges into that box). Excluded: sharded
+/// tables (per-shard scans already amortize), NEAR joins (their thematic
+/// post-filter keeps NaN rows, unlike the conjunctive path), buffered
+/// geometries and non-box shapes (refinement is not a range
+/// conjunction), and EXPLAIN [ANALYZE] (answers describe execution, not
+/// data).
 bool BatchablePlan(const sql::PlannedQuery& plan);
-
-/// The plan's effective selection box: the geometry envelope, or — for
-/// statements with no spatial predicate — the table extent from the x/y
-/// column stats, exactly as the solo executor substitutes it. Errors
-/// (missing x/y column) make the caller fall back to solo execution,
-/// which reproduces the same error.
-Result<Box> PlanViewport(const sql::PlannedQuery& plan);
 
 /// Output of one shared scan over a batch group.
 struct SharedScanResult {

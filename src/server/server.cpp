@@ -334,12 +334,7 @@ void Server::ConnectionLoop(int fd, uint64_t conn_index) {
           task->plan = std::move(*plan);
         }
         if (options_.shared_scan_batching && BatchablePlan(task->plan)) {
-          Result<Box> viewport = PlanViewport(task->plan);
-          if (viewport.ok()) {
-            task->batch_key = reinterpret_cast<uintptr_t>(task->plan.engine);
-            task->viewport = *viewport;
-          }
-          // On error: leave batch_key 0 — solo execution reproduces it.
+          task->batch_key = reinterpret_cast<uintptr_t>(task->plan.engine);
         }
         const AdmissionQueue::Admit admit = queue_->TryPush(task);
         if (admit == AdmissionQueue::Admit::kFull) {

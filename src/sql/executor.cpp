@@ -65,33 +65,57 @@ std::string ResultSet::ToString(size_t max_rows) const {
 
 namespace {
 
-Result<double> AggKindFromFunc(AggFunc f, const Column& col,
-                               const std::vector<uint64_t>& rows) {
+AggKind AggKindOf(AggFunc f) {
   switch (f) {
-    case AggFunc::kCount: return static_cast<double>(rows.size());
-    case AggFunc::kSum: return AggregateRows(col, rows, AggKind::kSum);
-    case AggFunc::kAvg: return AggregateRows(col, rows, AggKind::kAvg);
-    case AggFunc::kMin: return AggregateRows(col, rows, AggKind::kMin);
-    case AggFunc::kMax: return AggregateRows(col, rows, AggKind::kMax);
+    case AggFunc::kSum: return AggKind::kSum;
+    case AggFunc::kAvg: return AggKind::kAvg;
+    case AggFunc::kMin: return AggKind::kMin;
+    case AggFunc::kMax: return AggKind::kMax;
+    case AggFunc::kCount:
     case AggFunc::kNone: break;
   }
-  return std::nan("");
+  return AggKind::kCount;
 }
 
 /// Rows per batched value-access block in the post-filter, ORDER BY and
 /// projection paths below. Batching resolves the column's type dispatch
 /// once per block and, on the paged tier, faults each covering chunk once
-/// instead of once per row — and it surfaces chunk-fault errors as Status
-/// where the scalar GetDouble can only return NaN.
+/// instead of once per row — and it surfaces chunk-fault errors as Status.
 constexpr size_t kExecBlockRows = 1024;
 
-/// The rendering half of flat point-cloud execution: aggregation or
+/// What a point-cloud statement reads its values from: a flat or live
+/// table as one shard at base 0, or a sharded table through the
+/// statement's pinned view, so selection, aggregation, ORDER BY and
+/// projection all see one epoch even while appends publish.
+struct PointCloudSource {
+  const FlatTable* table = nullptr;
+  const ShardRouter* router = nullptr;
+  ShardsView view;
+
+  explicit PointCloudSource(const PlannedQuery& plan) : router(plan.router) {
+    if (router != nullptr) {
+      view = router->View();
+    } else {
+      table = &plan.engine->table();
+    }
+  }
+
+  Schema schema() const {
+    return table != nullptr ? table->schema() : router->schema();
+  }
+  Result<ShardedColumnReader> Column(const std::string& name) const {
+    return table != nullptr ? ShardedColumnReader::Make(*table, name)
+                            : ShardedColumnReader::Make(view, name);
+  }
+};
+
+/// The rendering half of point-cloud execution: aggregation or
 /// `*`-expansion / ORDER BY / LIMIT / projection over an already-selected
 /// row set. `rs.profile` holds the selection-phase spans on entry. Shared
-/// by ExecutePointCloud and the server's batched fan-out
-/// (ExecutePointCloudWithRows), so both render bit-identically.
+/// by every layout and by the server's batched fan-out
+/// (ExecutePointCloudWithRows), so all of them render bit-identically.
 Result<ResultSet> RenderPointCloud(const PlannedQuery& plan,
-                                   const FlatTable& table,
+                                   const PointCloudSource& src,
                                    std::vector<uint64_t> rows, ResultSet rs) {
   if (plan.stmt.IsAggregate()) {
     std::vector<Value> out_row;
@@ -101,8 +125,9 @@ Result<ResultSet> RenderPointCloud(const PlannedQuery& plan,
       if (it.agg == AggFunc::kCount) {
         out_row.push_back(Value::Num(static_cast<double>(rows.size())));
       } else {
-        GEOCOL_ASSIGN_OR_RETURN(ColumnPtr col, table.GetColumn(it.column));
-        GEOCOL_ASSIGN_OR_RETURN(double v, AggKindFromFunc(it.agg, *col, rows));
+        GEOCOL_ASSIGN_OR_RETURN(ShardedColumnReader col, src.Column(it.column));
+        GEOCOL_ASSIGN_OR_RETURN(double v,
+                                col.Aggregate(rows, AggKindOf(it.agg)));
         out_row.push_back(rows.empty() ? Value::Null() : Value::Num(v));
       }
     }
@@ -112,32 +137,33 @@ Result<ResultSet> RenderPointCloud(const PlannedQuery& plan,
 
   // Expand `*`.
   std::vector<std::string> proj;
-  const Schema table_schema = table.schema();
+  const Schema schema = src.schema();
   for (const SelectItem& it : plan.stmt.items) {
     if (it.star) {
-      for (const Field& f : table_schema.fields()) proj.push_back(f.name);
+      for (const Field& f : schema.fields()) proj.push_back(f.name);
     } else {
       proj.push_back(it.column);
     }
   }
-  std::vector<ColumnPtr> cols;
+  std::vector<ShardedColumnReader> cols;
   for (const std::string& name : proj) {
-    GEOCOL_ASSIGN_OR_RETURN(ColumnPtr c, table.GetColumn(name));
+    GEOCOL_ASSIGN_OR_RETURN(ShardedColumnReader c, src.Column(name));
     cols.push_back(std::move(c));
     rs.columns.push_back(name);
   }
   if (!plan.stmt.order_by.empty()) {
     Timer ts;
-    GEOCOL_ASSIGN_OR_RETURN(ColumnPtr key, table.GetColumn(plan.stmt.order_by));
+    GEOCOL_ASSIGN_OR_RETURN(ShardedColumnReader key,
+                            src.Column(plan.stmt.order_by));
     // Pre-materialise the sort keys with one batched pass, then sort a
     // permutation: the comparator never touches the column, so a paged key
     // column faults each chunk once instead of O(n log n) times, and the
-    // (stable) order is exactly the old compare-by-GetDouble order.
+    // (stable) order is exactly the compare-by-value order.
     std::vector<double> keys(rows.size());
     for (size_t base = 0; base < rows.size(); base += kExecBlockRows) {
       const size_t bn = std::min(kExecBlockRows, rows.size() - base);
       GEOCOL_RETURN_NOT_OK(
-          key->GetDoubleBatch(rows.data() + base, bn, keys.data() + base));
+          key.GetDoubleBatch(rows.data() + base, bn, keys.data() + base));
     }
     std::vector<size_t> order(rows.size());
     for (size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -162,7 +188,7 @@ Result<ResultSet> RenderPointCloud(const PlannedQuery& plan,
         static_cast<size_t>(std::min<uint64_t>(kExecBlockRows, shown - base));
     for (size_t c = 0; c < cols.size(); ++c) {
       GEOCOL_RETURN_NOT_OK(
-          cols[c]->GetDoubleBatch(rows.data() + base, bn, block[c].data()));
+          cols[c].GetDoubleBatch(rows.data() + base, bn, block[c].data()));
     }
     for (size_t i = 0; i < bn; ++i) {
       std::vector<Value> out_row;
@@ -177,175 +203,67 @@ Result<ResultSet> RenderPointCloud(const PlannedQuery& plan,
   return rs;
 }
 
+/// NEAR + box / thematic: keeps the joined rows whose values lie in every
+/// range (the per-feature engine calls cannot push these into the union).
+Result<std::vector<uint64_t>> NearPostFilter(
+    const PlannedQuery& plan, const PointCloudSource& src,
+    std::vector<uint64_t> rows, QueryProfile* profile) {
+  std::vector<AttributeRange> ranges = plan.thematic;
+  if (plan.has_geometry) {
+    const Box& box = plan.geometry.box();
+    ranges.push_back({"x", box.min_x, box.max_x});
+    ranges.push_back({"y", box.min_y, box.max_y});
+  }
+  if (ranges.empty()) return rows;
+  Timer t;
+  std::vector<uint8_t> keep(rows.size(), 1);
+  std::vector<double> vals(kExecBlockRows);
+  for (const AttributeRange& a : ranges) {
+    GEOCOL_ASSIGN_OR_RETURN(ShardedColumnReader col, src.Column(a.column));
+    for (size_t base = 0; base < rows.size(); base += kExecBlockRows) {
+      const size_t bn = std::min(kExecBlockRows, rows.size() - base);
+      GEOCOL_RETURN_NOT_OK(
+          col.GetDoubleBatch(rows.data() + base, bn, vals.data()));
+      for (size_t i = 0; i < bn; ++i) {
+        if (vals[i] < a.lo || vals[i] > a.hi) keep[base + i] = 0;
+      }
+    }
+  }
+  std::vector<uint64_t> kept;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (keep[i] != 0) kept.push_back(rows[i]);
+  }
+  profile->Add("thematic.postfilter", t.ElapsedNanos(), rows.size(),
+               kept.size());
+  return kept;
+}
+
+/// One path for flat, live and sharded point clouds: select through the
+/// engine (or the router, over the pinned view), then render.
 Result<ResultSet> ExecutePointCloud(const PlannedQuery& plan) {
   ResultSet rs;
-  const FlatTable& table = plan.engine->table();
-
-  // ---- Selection.
+  const PointCloudSource src(plan);
   std::vector<uint64_t> rows;
   if (plan.near) {
+    // The planner rejects NEAR on sharded tables.
     GEOCOL_ASSIGN_OR_RETURN(
         NearLayerResult near,
         PointsNearLayerClass(plan.engine, plan.near_layer.get(),
                              plan.near_class, plan.near_distance));
-    rows = std::move(near.row_ids);
     rs.profile = std::move(near.profile);
-    // NEAR + thematic: post-filter the joined rows (the per-feature engine
-    // calls cannot push the thematic ranges into the union).
-    if (!plan.thematic.empty()) {
-      Timer t;
-      std::vector<ColumnPtr> cols;
-      for (const AttributeRange& a : plan.thematic) {
-        GEOCOL_ASSIGN_OR_RETURN(ColumnPtr c, table.GetColumn(a.column));
-        cols.push_back(std::move(c));
-      }
-      std::vector<uint8_t> keep(rows.size(), 1);
-      std::vector<double> vals(kExecBlockRows);
-      for (size_t ci = 0; ci < cols.size(); ++ci) {
-        for (size_t base = 0; base < rows.size(); base += kExecBlockRows) {
-          const size_t bn = std::min(kExecBlockRows, rows.size() - base);
-          GEOCOL_RETURN_NOT_OK(
-              cols[ci]->GetDoubleBatch(rows.data() + base, bn, vals.data()));
-          for (size_t i = 0; i < bn; ++i) {
-            if (vals[i] < plan.thematic[ci].lo ||
-                vals[i] > plan.thematic[ci].hi) {
-              keep[base + i] = 0;
-            }
-          }
-        }
-      }
-      std::vector<uint64_t> kept;
-      for (size_t i = 0; i < rows.size(); ++i) {
-        if (keep[i] != 0) kept.push_back(rows[i]);
-      }
-      rs.profile.Add("thematic.postfilter", t.ElapsedNanos(), rows.size(),
-                     kept.size());
-      rows = std::move(kept);
-    }
+    GEOCOL_ASSIGN_OR_RETURN(
+        rows, NearPostFilter(plan, src, std::move(near.row_ids), &rs.profile));
   } else {
-    Geometry query_geom = plan.geometry;
-    if (!plan.has_geometry) {
-      // No spatial predicate: the whole table extent is the query box; the
-      // imprint filter degenerates to full-line acceptance.
-      GEOCOL_ASSIGN_OR_RETURN(ColumnPtr xc, table.GetColumn("x"));
-      GEOCOL_ASSIGN_OR_RETURN(ColumnPtr yc, table.GetColumn("y"));
-      Box extent(xc->Stats().min, yc->Stats().min, xc->Stats().max,
-                 yc->Stats().max);
-      query_geom = Geometry(extent);
-    }
     GEOCOL_ASSIGN_OR_RETURN(
         SelectionResult sel,
-        plan.engine->Select(query_geom, plan.buffer, plan.thematic));
+        plan.router != nullptr
+            ? plan.router->Select(src.view, plan.geometry, plan.buffer,
+                                  plan.thematic)
+            : plan.engine->Select(plan.geometry, plan.buffer, plan.thematic));
     rows = std::move(sel.row_ids);
     rs.profile = std::move(sel.profile);
   }
-
-  // ---- Projection / aggregation.
-  return RenderPointCloud(plan, table, std::move(rows), std::move(rs));
-}
-
-AggKind AggKindOf(AggFunc f) {
-  switch (f) {
-    case AggFunc::kSum: return AggKind::kSum;
-    case AggFunc::kAvg: return AggKind::kAvg;
-    case AggFunc::kMin: return AggKind::kMin;
-    case AggFunc::kMax: return AggKind::kMax;
-    case AggFunc::kCount:
-    case AggFunc::kNone: break;
-  }
-  return AggKind::kCount;
-}
-
-/// Mirror of ExecutePointCloud over a shard router. Value access goes
-/// through ShardedColumnReader (global row -> owning shard's local
-/// column); aggregates run the shared serial aggregation core, so results
-/// are bit-identical to the flat-table path over the same row set.
-Result<ResultSet> ExecuteShardedPointCloud(const PlannedQuery& plan) {
-  ResultSet rs;
-  ShardRouter* router = plan.router;
-
-  // One view pins the whole statement: selection, aggregation, ORDER BY
-  // and projection all read the same shard epoch, so global row ids never
-  // shift (and values never move) under a statement while live appends
-  // publish concurrently.
-  ShardsView view = router->View();
-
-  // ---- Selection (the planner rejects NEAR on sharded tables).
-  Geometry query_geom = plan.geometry;
-  if (!plan.has_geometry) {
-    // No spatial predicate: the sharded extent is the query box — every
-    // shard bbox intersects it, so nothing is pruned and the per-shard
-    // imprint filters degenerate to full-line acceptance.
-    query_geom = Geometry(router->table().extent());
-  }
-  GEOCOL_ASSIGN_OR_RETURN(
-      SelectionResult sel,
-      router->Select(view, query_geom, plan.buffer, plan.thematic));
-  std::vector<uint64_t> rows = std::move(sel.row_ids);
-  rs.profile = std::move(sel.profile);
-
-  // ---- Projection / aggregation.
-  if (plan.stmt.IsAggregate()) {
-    std::vector<Value> out_row;
-    for (const SelectItem& it : plan.stmt.items) {
-      rs.columns.push_back(std::string(AggFuncName(it.agg)) + "(" +
-                           (it.star ? "*" : it.column) + ")");
-      if (it.agg == AggFunc::kCount) {
-        out_row.push_back(Value::Num(static_cast<double>(rows.size())));
-      } else {
-        GEOCOL_ASSIGN_OR_RETURN(
-            double v, router->AggregateGlobalRows(view, rows, it.column,
-                                                  AggKindOf(it.agg)));
-        out_row.push_back(rows.empty() ? Value::Null() : Value::Num(v));
-      }
-    }
-    rs.rows.push_back(std::move(out_row));
-    return rs;
-  }
-
-  // Expand `*`.
-  std::vector<std::string> proj;
-  const Schema table_schema = router->schema();
-  for (const SelectItem& it : plan.stmt.items) {
-    if (it.star) {
-      for (const Field& f : table_schema.fields()) proj.push_back(f.name);
-    } else {
-      proj.push_back(it.column);
-    }
-  }
-  std::vector<ShardedColumnReader> cols;
-  for (const std::string& name : proj) {
-    GEOCOL_ASSIGN_OR_RETURN(ShardedColumnReader c,
-                            ShardedColumnReader::Make(view, name));
-    cols.push_back(std::move(c));
-    rs.columns.push_back(name);
-  }
-  if (!plan.stmt.order_by.empty()) {
-    Timer ts;
-    GEOCOL_ASSIGN_OR_RETURN(
-        ShardedColumnReader key,
-        ShardedColumnReader::Make(view, plan.stmt.order_by));
-    std::stable_sort(rows.begin(), rows.end(), [&](uint64_t a, uint64_t b) {
-      double va = key.GetDouble(a), vb = key.GetDouble(b);
-      return plan.stmt.order_desc ? va > vb : va < vb;
-    });
-    rs.profile.Add("sort." + plan.stmt.order_by, ts.ElapsedNanos(),
-                   rows.size(), rows.size());
-  }
-  uint64_t limit = plan.stmt.limit >= 0
-                       ? static_cast<uint64_t>(plan.stmt.limit)
-                       : rows.size();
-  Timer t;
-  for (uint64_t i = 0; i < rows.size() && i < limit; ++i) {
-    std::vector<Value> out_row;
-    out_row.reserve(cols.size());
-    for (const ShardedColumnReader& c : cols) {
-      out_row.push_back(Value::Num(c.GetDouble(rows[i])));
-    }
-    rs.rows.push_back(std::move(out_row));
-  }
-  rs.profile.Add("project", t.ElapsedNanos(), rows.size(), rs.rows.size());
-  return rs;
+  return RenderPointCloud(plan, src, std::move(rows), std::move(rs));
 }
 
 Result<ResultSet> ExecuteLayer(const PlannedQuery& plan) {
@@ -498,7 +416,7 @@ Result<ResultSet> ExecutePointCloudWithRows(const PlannedQuery& plan,
                                             QueryProfile profile) {
   ResultSet rs;
   rs.profile = std::move(profile);
-  return RenderPointCloud(plan, plan.engine->table(), std::move(rows),
+  return RenderPointCloud(plan, PointCloudSource(plan), std::move(rows),
                           std::move(rs));
 }
 
@@ -511,8 +429,7 @@ Result<ResultSet> ExecuteQuery(const PlannedQuery& plan) {
   }
   Result<ResultSet> executed =
       plan.target == PlannedQuery::Target::kPointCloud
-          ? (plan.router != nullptr ? ExecuteShardedPointCloud(plan)
-                                    : ExecutePointCloud(plan))
+          ? ExecutePointCloud(plan)
           : ExecuteLayer(plan);
   if (!plan.stmt.analyze) return executed;
   GEOCOL_RETURN_NOT_OK(executed.status());

@@ -1,6 +1,7 @@
 #include "sql/planner.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 
 #include "geom/wkt.h"
@@ -36,6 +37,64 @@ Status ValidateItems(const PlannedQuery& pq, const Schema* schema) {
       }
     }
   }
+  return Status::OK();
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The extent of a point-cloud target's x/y values: the column stats of a
+/// flat or live table, the layout extent of a sharded one.
+Result<Box> PointCloudExtent(const PlannedQuery& pq) {
+  if (pq.router != nullptr) return pq.router->table().extent();
+  const FlatTable& table = pq.engine->table();
+  GEOCOL_ASSIGN_OR_RETURN(ColumnPtr xc, table.GetColumn("x"));
+  GEOCOL_ASSIGN_OR_RETURN(ColumnPtr yc, table.GetColumn("y"));
+  return Box(xc->Stats().min, yc->Stats().min, xc->Stats().max,
+             yc->Stats().max);
+}
+
+/// The query box (DESIGN.md §3): a point-cloud plan whose geometry is
+/// absent or an unbuffered box is an imprint filter on x and y and nothing
+/// else, so its x/y ranges fold into that box instead of filtering x and y
+/// twice. A side the statement leaves open takes the table extent. A NEAR
+/// plan's box only narrows the joined rows, so it stays as written and
+/// exists only when the statement bounds something. Polygon and
+/// ST_DWithin plans keep x/y as ranges: refinement needs the exact
+/// geometry.
+Status FoldQueryBox(PlannedQuery* pq) {
+  if (pq->target != PlannedQuery::Target::kPointCloud) return Status::OK();
+  if (pq->has_geometry && !(pq->geometry.is_box() && pq->buffer == 0.0)) {
+    return Status::OK();
+  }
+  Box box = pq->has_geometry ? pq->geometry.box()
+                             : Box(-kInf, -kInf, kInf, kInf);
+  bool bounded = pq->has_geometry || !pq->near;
+  std::vector<AttributeRange> rest;
+  for (const AttributeRange& a : pq->thematic) {
+    if (a.column == "x") {
+      box.min_x = std::max(box.min_x, a.lo);
+      box.max_x = std::min(box.max_x, a.hi);
+    } else if (a.column == "y") {
+      box.min_y = std::max(box.min_y, a.lo);
+      box.max_y = std::min(box.max_y, a.hi);
+    } else {
+      rest.push_back(a);
+      continue;
+    }
+    bounded = true;
+  }
+  if (!bounded) return Status::OK();
+  pq->thematic = std::move(rest);
+  if (!pq->near && (box.min_x == -kInf || box.min_y == -kInf ||
+                    box.max_x == kInf || box.max_y == kInf)) {
+    GEOCOL_ASSIGN_OR_RETURN(Box extent, PointCloudExtent(*pq));
+    if (box.min_x == -kInf) box.min_x = extent.min_x;
+    if (box.min_y == -kInf) box.min_y = extent.min_y;
+    if (box.max_x == kInf) box.max_x = extent.max_x;
+    if (box.max_y == kInf) box.max_y = extent.max_y;
+  }
+  pq->has_geometry = true;
+  pq->geometry = Geometry(box);
   return Status::OK();
 }
 
@@ -111,6 +170,14 @@ Result<PlannedQuery> PlanQuery(Catalog* catalog, SelectStmt stmt) {
     }
   }
 
+  // NEAR selects through per-feature engine calls; on top of it only a
+  // box can apply, as a post-filter of the joined rows.
+  if (pq.near && pq.has_geometry &&
+      !(pq.geometry.is_box() && pq.buffer == 0.0)) {
+    return Status::Unsupported(
+        "SQL: NEAR with a polygon or ST_DWithin predicate");
+  }
+
   // Merge attribute ranges per column.
   std::map<std::string, AttributeRange> merged;
   for (const RangePred& r : stmt.ranges) {
@@ -153,6 +220,7 @@ Result<PlannedQuery> PlanQuery(Catalog* catalog, SelectStmt stmt) {
       ValidateItems(pq, pq.target == PlannedQuery::Target::kPointCloud
                             ? &schema
                             : nullptr));
+  GEOCOL_RETURN_NOT_OK(FoldQueryBox(&pq));
   return pq;
 }
 
@@ -172,17 +240,22 @@ std::string PlannedQuery::Describe() const {
     s += "  step 0: bbox-prune shards against query envelope, "
          "scatter-gather the rest\n";
   }
-  if (has_geometry) {
-    s += "  step 1: imprint filter on x/y over envelope of " +
-         ToWkt(geometry) + (buffer > 0 ? " buffered " + std::to_string(buffer)
-                                       : std::string()) +
-         "\n";
-    s += "  step 2: regular-grid refinement, exact tests on boundary cells\n";
-  }
   if (near) {
     s += "  join: NEAR layer '" + near_layer->name() + "' class " +
          std::to_string(near_class) + " within " +
          std::to_string(near_distance) + " (per-feature two-step + union)\n";
+    if (has_geometry) {
+      s += "  post-filter: x/y inside " + ToWkt(geometry) + "\n";
+    }
+  } else if (has_geometry) {
+    s += "  step 1: imprint filter on x/y over envelope of " +
+         ToWkt(geometry) + (buffer > 0 ? " buffered " + std::to_string(buffer)
+                                       : std::string()) +
+         "\n";
+    s += geometry.is_box() && buffer == 0.0
+             ? "  step 2: none (the box filter is exact)\n"
+             : "  step 2: regular-grid refinement, exact tests on boundary "
+               "cells\n";
   }
   for (const AttributeRange& a : thematic) {
     s += "  thematic: imprint filter on " + a.column + " in [" +

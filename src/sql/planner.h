@@ -35,7 +35,12 @@ struct PlannedQuery {
   // Layer target.
   std::shared_ptr<VectorLayer> layer;
 
-  // Normalised spatial predicate (point-cloud and layer targets).
+  // Normalised spatial predicate (point-cloud and layer targets). A
+  // point-cloud plan without NEAR always has one: when the statement
+  // writes no geometry, or an unbuffered box, `geometry` is the query box,
+  // with the x/y ranges folded in and any side the statement leaves open
+  // taken from the table extent. A NEAR plan carries a box only when the
+  // statement bounds x/y, and applies it as a post-filter.
   bool has_geometry = false;
   Geometry geometry;
   double buffer = 0.0;
@@ -46,7 +51,8 @@ struct PlannedQuery {
   uint32_t near_class = 0;
   double near_distance = 0.0;
 
-  // Merged attribute ranges (one entry per column).
+  // Merged attribute ranges (one entry per column; x/y only when they did
+  // not fold into the query box).
   std::vector<AttributeRange> thematic;
 
   /// Human-readable plan (EXPLAIN output).

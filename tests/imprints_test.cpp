@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/imprint_scan.h"
 #include "core/imprints.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -165,6 +166,36 @@ TEST(ImprintsMaskTest, FullDomainSelectsAllLines) {
   // are unbounded so the index cannot prove containment for them.
   EXPECT_GT(full.Count(), 0u);
   EXPECT_LE(full.Count(), cand.Count());
+}
+
+// A range narrower than one bin that ends exactly on the bin's upper
+// bound covers that bin only when it also reaches the bin's lower edge.
+// Sorted data puts whole cache lines inside single bins, so a wrongly
+// "inner" bin would accept values below lo wholesale.
+TEST(ImprintsMaskTest, NarrowRangesEndingOnBinBoundsMatchFullScan) {
+  Rng rng(61);
+  std::vector<double> vals(50000);
+  for (auto& v : vals) v = rng.UniformDouble(0, 1000);
+  std::sort(vals.begin(), vals.end());
+  auto col = Column::FromVector<double>("c", vals);
+  auto ix = ImprintsIndex::Build(*col);
+  ASSERT_TRUE(ix.ok());
+  const BinBounds& bins = ix->bins();
+  ASSERT_GT(bins.num_bins(), 2u);
+  for (uint32_t b = 1; b + 1 < bins.num_bins(); ++b) {
+    const double upper = bins.upper(b), lower = bins.upper(b - 1);
+    for (double frac : {0.1, 0.5, 0.9}) {
+      const double lo = upper - frac * (upper - lower), hi = upper;
+      SCOPED_TRACE(testing::Message() << "bin " << b << " [" << lo << ", "
+                                      << hi << "]");
+      EXPECT_EQ(ix->MaskForRange(lo, hi).inner, 0u);
+      BitVector got, want;
+      ASSERT_TRUE(ImprintRangeSelect(*col, *ix, lo, hi, &got).ok());
+      ASSERT_TRUE(FullScanRangeSelect(*col, lo, hi, &want).ok());
+      EXPECT_EQ(got.Count(), want.Count());
+      EXPECT_TRUE(got == want);
+    }
+  }
 }
 
 TEST(ImprintsMaskTest, LineRows) {

@@ -398,8 +398,10 @@ TEST(ShardedLiveAppendTest, PinnedViewSurvivesReShardAndRouterTeardown) {
   ASSERT_EQ(pinned.total_rows, 2000u);
   auto reader = ShardedColumnReader::Make(pinned, "z");
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  for (uint64_t r : expect_rows) {
-    double z = reader->GetDouble(r);
+  std::vector<double> zs(expect_rows.size());
+  ASSERT_TRUE(
+      reader->GetDoubleBatch(expect_rows.data(), zs.size(), zs.data()).ok());
+  for (double z : zs) {
     EXPECT_GE(z, -5.0);
     EXPECT_LE(z, 40.0);
   }

@@ -16,6 +16,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <thread>
 #include <vector>
 
@@ -26,11 +28,14 @@
 #include "core/imprint_scan.h"
 #include "core/spatial_engine.h"
 #include "geom/geometry.h"
+#include "gis/catalog.h"
 #include "simd/dispatch.h"
+#include "sql/session.h"
 #include "util/fault_injection.h"
 #include "util/fd_cache.h"
 #include "util/rng.h"
 #include "util/tempdir.h"
+#include "xy_oracle.h"
 
 namespace geocol {
 namespace {
@@ -242,6 +247,113 @@ TEST(PagedEquivalenceTest, PagedMatchesResidentAcrossThreadsSimdBudgets) {
         }
       }
     }
+  }
+}
+
+// x/y ranges plan as the query box on the paged tier too: the same SQL
+// over paged opens of the Hilbert-sorted table — flat GCL2 and GPC1, and
+// sharded at K = 1 and K = 4 — answers bit-identically to a full scan of
+// the resident table.
+TEST(PagedEquivalenceTest, XyRangeSqlMatchesFullScanOnPagedTables) {
+  ChunkCacheGuard cache_guard;
+  cache::ChunkCache::Global().Clear();
+  TempDir dir("paged-xy");
+  auto source = xytest::MakeXyTable(kRows / 2, 29);
+  const auto queries = xytest::MakeXyQueries(733, 40, xytest::XyExtent());
+  ShardingOptions one;
+  one.num_shards = 1;
+  auto sorted = ShardedTable::Create(*source, one);
+  ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
+  const FlatTable& table = *(*sorted)->shard(0).table;
+  const auto expected = xytest::ExpectAll(table, queries);
+
+  ASSERT_TRUE(WriteTableDir(table, dir.File("raw")).ok());
+  ASSERT_TRUE(WriteChunkedCompressedTableDir(table, dir.File("gpc")).ok());
+  Catalog catalog;
+  for (const char* sub : {"raw", "gpc"}) {
+    auto paged = ReadTableDirPaged(dir.File(sub));
+    ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+    ASSERT_TRUE(catalog
+                    .AddPointCloud(sub, std::make_shared<FlatTable>(
+                                            std::move(*paged)))
+                    .ok());
+  }
+  for (uint32_t k : {1u, 4u}) {
+    const std::string name = "shard" + std::to_string(k);
+    ShardingOptions so;
+    so.num_shards = k;
+    auto sharded = ShardedTable::Create(*source, so);
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    ASSERT_TRUE(WriteShardedTableDir(**sharded, dir.File(name)).ok());
+    auto paged = ReadShardedTableDir(dir.File(name), true, /*paged=*/true);
+    ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+    ASSERT_TRUE(catalog.AddShardedPointCloud(name, *paged).ok());
+  }
+  sql::Session session(&catalog);
+  for (const char* name : {"raw", "gpc", "shard1", "shard4"}) {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << name << " WHERE "
+                                      << queries[i].where);
+      auto agg = session.Execute(xytest::AggregateSql(name, queries[i]));
+      ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+      EXPECT_TRUE(xytest::SameRows(agg->rows, expected[i].aggregate));
+      auto proj = session.Execute(xytest::ProjectSql(name, queries[i]));
+      ASSERT_TRUE(proj.ok()) << proj.status().ToString();
+      EXPECT_TRUE(xytest::SameRows(proj->rows, expected[i].projection));
+    }
+  }
+}
+
+// A flipped byte in one shard's paged chunk surfaces as a typed
+// Corruption from every statement that reads it — projection and ORDER BY
+// included — never as rows of NaN.
+TEST(PagedEquivalenceTest, ShardedPagedChunkFaultIsTypedError) {
+  ChunkCacheGuard cache_guard;
+  cache::ChunkCache::Global().Clear();
+  TempDir dir("paged-shard-fault");
+  ShardingOptions so;
+  so.num_shards = 4;
+  auto sharded = ShardedTable::Create(*MakeTable(20000, 41), so);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ASSERT_TRUE(WriteShardedTableDir(**sharded, dir.path()).ok());
+
+  // Flip one payload byte in the middle of shard 0's intensity column.
+  std::string victim;
+  for (const auto& shard : std::filesystem::directory_iterator(dir.path())) {
+    if (shard.path().filename().string().rfind("shard_0000", 0) != 0) continue;
+    for (const auto& f : std::filesystem::directory_iterator(shard.path())) {
+      if (f.path().filename().string().rfind("intensity.", 0) == 0) {
+        victim = f.path().string();
+      }
+    }
+  }
+  ASSERT_FALSE(victim.empty());
+  {
+    std::fstream f(victim, std::ios::in | std::ios::out | std::ios::binary);
+    const auto size = std::filesystem::file_size(victim);
+    f.seekg(static_cast<std::streamoff>(size / 2));
+    char c = 0;
+    f.read(&c, 1);
+    c = static_cast<char>(c ^ 0x5a);
+    f.seekp(static_cast<std::streamoff>(size / 2));
+    f.write(&c, 1);
+  }
+
+  auto paged = ReadShardedTableDir(dir.path(), true, /*paged=*/true);
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddShardedPointCloud("pc", *paged).ok());
+  sql::Session session(&catalog);
+  for (const char* q : {"SELECT x, y, intensity FROM pc LIMIT 3",
+                        "SELECT x, y FROM pc ORDER BY intensity",
+                        "SELECT x, intensity FROM pc WHERE x BETWEEN 0 AND "
+                        "1000 ORDER BY intensity DESC LIMIT 5",
+                        "SELECT SUM(intensity) FROM pc"}) {
+    SCOPED_TRACE(q);
+    auto rs = session.Execute(q);
+    ASSERT_FALSE(rs.ok()) << rs->ToString();
+    EXPECT_EQ(rs.status().code(), StatusCode::kCorruption)
+        << rs.status().ToString();
   }
 }
 

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "columns/sharded_table.h"
 #include "core/live_table.h"
 #include "core/table_appender.h"
 #include "gis/catalog.h"
@@ -25,6 +26,7 @@
 #include "sql/executor.h"
 #include "sql/session.h"
 #include "util/rng.h"
+#include "xy_oracle.h"
 
 namespace geocol {
 namespace {
@@ -252,6 +254,116 @@ TEST(ServerEquivalenceTest, SharedScanBatchedPathBitIdentical) {
   EXPECT_GE(s.batch_members, 2u);
   EXPECT_EQ(s.batch_fallbacks, 0u);
   DiffAgainstOracle(observed, &catalog);
+}
+
+// x/y range statements through the server, with shared-scan batching
+// forced (the lone worker is plugged while each client's first statement
+// queues) and with batching off: flat, live and sharded K = 1 / K = 4
+// tables all answer bit-identically to a full scan.
+TEST(ServerEquivalenceTest, XyRangeStatementsMatchFullScanBatchedAndSolo) {
+  auto source = xytest::MakeXyTable(8000, 31);
+  const auto queries = xytest::MakeXyQueries(907, 24, xytest::XyExtent());
+  ShardingOptions one;
+  one.num_shards = 1;
+  auto sorted = ShardedTable::Create(*source, one);
+  ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
+  const std::shared_ptr<FlatTable> table = (*sorted)->shard(0).table;
+  const auto expected = xytest::ExpectAll(*table, queries);
+
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddPointCloud("flat", table).ok());
+  auto live = LiveTable::Create(table);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  ASSERT_TRUE(catalog.AddLivePointCloud("live", *live).ok());
+  for (uint32_t k : {1u, 4u}) {
+    ShardingOptions so;
+    so.num_shards = k;
+    auto sharded = ShardedTable::Create(*source, so);
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    ASSERT_TRUE(catalog
+                    .AddShardedPointCloud("shard" + std::to_string(k),
+                                          *sharded)
+                    .ok());
+  }
+
+  // Flat statements first, so every client opens with a batchable one.
+  struct Case {
+    std::string sql;
+    const std::vector<std::vector<sql::Value>>* want;
+  };
+  std::vector<Case> cases;
+  for (const char* name : {"flat", "live", "shard1", "shard4"}) {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      cases.push_back({xytest::AggregateSql(name, queries[i]),
+                       &expected[i].aggregate});
+      cases.push_back({xytest::ProjectSql(name, queries[i]),
+                       &expected[i].projection});
+    }
+  }
+
+  for (bool batching : {true, false}) {
+    SCOPED_TRACE(testing::Message() << "batching=" << batching);
+    std::mutex mu;
+    std::condition_variable cv;
+    bool release = false;
+    std::atomic<int> held{0};
+    server::ServerOptions sopts;
+    sopts.workers = 1;
+    sopts.shared_scan_batching = batching;
+    sopts.before_execute_hook = [&](const server::QueryTask&) {
+      if (held.fetch_add(1) == 0) {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return release; });
+      }
+    };
+    server::Server srv(&catalog, sopts);
+    ASSERT_TRUE(srv.Start().ok());
+    const int port = srv.port();
+    std::thread plug([&] {
+      server::Client::Options copts;
+      copts.port = port;
+      auto client = server::Client::Connect(copts);
+      ASSERT_TRUE(client.ok());
+      auto rs = client->Query("SELECT COUNT(*) FROM flat");
+      ASSERT_TRUE(rs.ok());
+      EXPECT_TRUE(rs->ok);
+    });
+    while (held.load() == 0) std::this_thread::yield();
+
+    constexpr size_t kClients = 8;
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        server::Client::Options copts;
+        copts.port = port;
+        auto client = server::Client::Connect(copts);
+        ASSERT_TRUE(client.ok());
+        for (size_t i = c; i < cases.size(); i += kClients) {
+          SCOPED_TRACE(cases[i].sql);
+          auto outcome = client->Query(cases[i].sql);
+          ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+          ASSERT_TRUE(outcome->ok) << outcome->error.ToStatus().ToString();
+          EXPECT_TRUE(xytest::SameRows(outcome->result.rows, *cases[i].want));
+        }
+      });
+    }
+    while (srv.stats().queue_depth < kClients) std::this_thread::yield();
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      release = true;
+    }
+    cv.notify_all();
+    plug.join();
+    for (auto& t : clients) t.join();
+    srv.Stop();
+    server::ServerStats s = srv.stats();
+    EXPECT_EQ(s.batch_fallbacks, 0u);
+    if (batching) {
+      EXPECT_GE(s.batches, 1u);
+    } else {
+      EXPECT_EQ(s.batches, 0u);
+    }
+  }
 }
 
 TEST(ServerEquivalenceTest, LiveAppendsRaceReadersWithEpochPinning) {

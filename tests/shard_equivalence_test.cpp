@@ -16,11 +16,15 @@
 #include <vector>
 
 #include "columns/sharded_table.h"
+#include "core/live_table.h"
 #include "core/shard_router.h"
 #include "core/spatial_engine.h"
 #include "geom/geometry.h"
+#include "gis/catalog.h"
 #include "simd/dispatch.h"
+#include "sql/session.h"
 #include "util/rng.h"
+#include "xy_oracle.h"
 
 namespace geocol {
 namespace {
@@ -300,6 +304,58 @@ TEST(ShardEquivalenceTest, MergedStatsDeterministicAcrossConfigs) {
       }
     }
     first = false;
+  }
+}
+
+// x/y ranges plan as the query box on every layout: the same SQL over the
+// Hilbert-sorted table held flat, live and sharded at K = 1 and K = 4
+// answers bit-identically to a full scan — one-sided ranges, ranges past
+// the extent, emptied ranges, and ranges next to box, polygon,
+// ST_DWithin and thematic predicates.
+TEST(ShardEquivalenceTest, XyRangeSqlMatchesFullScanOnEveryLayout) {
+  auto source = xytest::MakeXyTable(20000, 23);
+  const auto queries = xytest::MakeXyQueries(611, 60, xytest::XyExtent());
+  ShardingOptions one;
+  one.num_shards = 1;
+  auto sorted = ShardedTable::Create(*source, one);
+  ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
+  const std::shared_ptr<FlatTable> table = (*sorted)->shard(0).table;
+  const auto expected = xytest::ExpectAll(*table, queries);
+
+  for (uint32_t threads : {1u, 3u}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    EngineOptions opts;
+    opts.num_threads = threads;
+    Catalog catalog;
+    ASSERT_TRUE(catalog.AddPointCloud("flat", table, opts).ok());
+    LiveTableOptions lopts;
+    lopts.engine = opts;
+    auto live = LiveTable::Create(table, lopts);
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    ASSERT_TRUE(catalog.AddLivePointCloud("live", *live).ok());
+    for (uint32_t k : {1u, 4u}) {
+      ShardingOptions so;
+      so.num_shards = k;
+      auto sharded = ShardedTable::Create(*source, so);
+      ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+      ASSERT_TRUE(catalog
+                      .AddShardedPointCloud("shard" + std::to_string(k),
+                                            *sharded, opts)
+                      .ok());
+    }
+    sql::Session session(&catalog);
+    for (const char* name : {"flat", "live", "shard1", "shard4"}) {
+      for (size_t i = 0; i < queries.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << name << " WHERE "
+                                        << queries[i].where);
+        auto agg = session.Execute(xytest::AggregateSql(name, queries[i]));
+        ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+        EXPECT_TRUE(xytest::SameRows(agg->rows, expected[i].aggregate));
+        auto proj = session.Execute(xytest::ProjectSql(name, queries[i]));
+        ASSERT_TRUE(proj.ok()) << proj.status().ToString();
+        EXPECT_TRUE(xytest::SameRows(proj->rows, expected[i].projection));
+      }
+    }
   }
 }
 

@@ -22,6 +22,7 @@
 #include "sql/parser.h"
 #include "sql/session.h"
 #include "util/rng.h"
+#include "xy_oracle.h"
 
 namespace geocol {
 namespace {
@@ -283,6 +284,31 @@ TEST_F(SqlFuzzTest, ConcurrentSessionsMatchSerialReplay) {
     } else {
       EXPECT_EQ(concurrent[i].error, rs.status().ToString())
           << statements[i];
+    }
+  }
+}
+
+// Seeded x/y range statements (one-sided, past the extent, emptied, and
+// next to box / polygon / ST_DWithin / thematic predicates) answer exactly
+// what a full scan of the table answers, cache on and off.
+TEST_F(SqlFuzzTest, XyRangeStatementsMatchFullScanOracle) {
+  auto table = catalog_->GetTable("ahn2");
+  ASSERT_TRUE(table.ok());
+  const auto queries =
+      xytest::MakeXyQueries(8086, 120, Box(85000, 444000, 85060, 444060));
+  const auto expected = xytest::ExpectAll(**table, queries);
+  for (bool cache_on : {false, true}) {
+    sql::Session session(catalog_, cache_on ? CacheOnOptions()
+                                            : sql::SessionOptions::FromEnv());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "cache=" << cache_on << " WHERE "
+                                      << queries[i].where);
+      auto agg = session.Execute(xytest::AggregateSql("ahn2", queries[i]));
+      ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+      EXPECT_TRUE(xytest::SameRows(agg->rows, expected[i].aggregate));
+      auto proj = session.Execute(xytest::ProjectSql("ahn2", queries[i]));
+      ASSERT_TRUE(proj.ok()) << proj.status().ToString();
+      EXPECT_TRUE(xytest::SameRows(proj->rows, expected[i].projection));
     }
   }
 }

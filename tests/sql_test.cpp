@@ -279,6 +279,52 @@ TEST_F(SqlSessionTest, AvgElevationNearFastTransitRoad) {
   EXPECT_EQ(count, *direct);
 }
 
+// NEAR applies the statement's box — written as ST_Within BOX or as x/y
+// ranges — to the joined rows: the answer is exactly the NEAR rows that
+// lie inside the box.
+TEST_F(SqlSessionTest, NearRespectsTheQueryBox) {
+  auto engine = catalog_.GetEngine("ahn2");
+  auto layer = catalog_.GetLayer("urban_atlas");
+  ASSERT_TRUE(engine.ok());
+  ASSERT_TRUE(layer.ok());
+  auto near = PointsNearLayerClass(*engine, layer->get(), 12210, 25.0);
+  ASSERT_TRUE(near.ok());
+  const Box box(85040, 444040, 85140, 444120);
+  ColumnPtr x = table_->column("x"), y = table_->column("y");
+  uint64_t near_all = near->row_ids.size(), expected = 0;
+  for (uint64_t r : near->row_ids) {
+    expected += box.Contains(Point{x->GetDouble(r), y->GetDouble(r)});
+  }
+  ASSERT_GT(expected, 0u);
+  ASSERT_LT(expected, near_all);
+  for (const char* where :
+       {"ST_Within(pt, 'BOX(85040 444040, 85140 444120)')",
+        "x BETWEEN 85040 AND 85140 AND y BETWEEN 444040 AND 444120",
+        "x >= 85040 AND y <= 444120 AND ST_Within(pt, "
+        "'BOX(85000 444040, 85140 444200)')"}) {
+    SCOPED_TRACE(where);
+    auto rs = session_->Execute(
+        std::string("SELECT COUNT(*) FROM ahn2 WHERE NEAR(urban_atlas, "
+                    "12210, 25) AND ") +
+        where);
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    EXPECT_EQ(rs->rows[0][0].number, static_cast<double>(expected));
+  }
+  // Only a box composes with NEAR; refinement geometries are refused at
+  // plan time.
+  for (const char* spatial :
+       {"ST_Within(pt, 'POLYGON((85000 444000, 85100 444000, 85100 444100, "
+        "85000 444000))')",
+        "ST_DWithin(pt, 'POINT(85100 444100)', 30)"}) {
+    auto rs = session_->Execute(
+        std::string("SELECT COUNT(*) FROM ahn2 WHERE NEAR(urban_atlas, "
+                    "12210, 25) AND ") +
+        spatial);
+    ASSERT_FALSE(rs.ok()) << spatial;
+    EXPECT_EQ(rs.status().code(), StatusCode::kUnsupported) << spatial;
+  }
+}
+
 TEST_F(SqlSessionTest, LimitCapsRows) {
   auto rs = session_->Execute("SELECT x FROM ahn2 LIMIT 5");
   ASSERT_TRUE(rs.ok());
@@ -511,24 +557,25 @@ std::string NormalizeShape(const std::string& tree) {
   return out;
 }
 
-TEST(SqlExplainAnalyzeGoldenTest, SingleThreadedBoxQueryShape) {
-  // num_threads=1 executes the filter branches serially, so the span order
-  // is deterministic and the rendered tree shape is stable.
+// The span tree of `EXPLAIN ANALYZE <query>` on a single-threaded engine:
+// names and indentation only, digits normalised. num_threads=1 executes
+// the filter branches serially, so the span order is deterministic and the
+// rendered tree shape is stable.
+std::string SingleThreadedSpanShape(const std::string& query) {
   AhnGeneratorOptions gopts;
   gopts.extent = Box(85000, 444000, 85100, 444100);
   AhnGenerator gen(gopts);
   auto table = gen.GenerateTable(5000);
-  ASSERT_TRUE(table.ok());
+  EXPECT_TRUE(table.ok());
   Catalog catalog;
   EngineOptions eopts;
   eopts.num_threads = 1;
-  ASSERT_TRUE(catalog.AddPointCloud("ahn2", *table, eopts).ok());
+  EXPECT_TRUE(catalog.AddPointCloud("ahn2", *table, eopts).ok());
   Session session(&catalog);
 
-  auto rs = session.Execute(
-      "EXPLAIN ANALYZE SELECT COUNT(*) FROM ahn2 WHERE ST_Within(pt, "
-      "'BOX(85010 444010, 85060 444060)')");
-  ASSERT_TRUE(rs.ok());
+  auto rs = session.Execute("EXPLAIN ANALYZE " + query);
+  EXPECT_TRUE(rs.ok()) << rs.status().ToString();
+  if (!rs.ok()) return "";
 
   // Span-tree section only: everything after the "spans (...)" header.
   std::string text;
@@ -549,15 +596,32 @@ TEST(SqlExplainAnalyzeGoldenTest, SingleThreadedBoxQueryShape) {
                                                          : name_end);
     text += '\n';
   }
-  EXPECT_EQ(NormalizeShape(text),
-            "  filter\n"
-            "    filter.imprints.x\n"
-            "    filter.imprints.y\n"
-            "    filter.intersect\n"
-            "  refine.none(box)\n"
-            "  TOTAL (sum)\n"
-            "  WALL (critical path)\n")
-      << text;
+  return NormalizeShape(text);
+}
+
+constexpr const char* kBoxShape =
+    "  filter\n"
+    "    filter.imprints.x\n"
+    "    filter.imprints.y\n"
+    "    filter.intersect\n"
+    "  refine.none(box)\n"
+    "  TOTAL (sum)\n"
+    "  WALL (critical path)\n";
+
+TEST(SqlExplainAnalyzeGoldenTest, SingleThreadedBoxQueryShape) {
+  EXPECT_EQ(SingleThreadedSpanShape("SELECT COUNT(*) FROM ahn2 WHERE "
+                                    "ST_Within(pt, 'BOX(85010 444010, 85060 "
+                                    "444060)')"),
+            kBoxShape);
+}
+
+// x/y BETWEEN is the same query box: one imprint pass per axis, exactly the
+// ST_Within box plan, not an extent pass followed by two range passes.
+TEST(SqlExplainAnalyzeGoldenTest, XyBetweenPlansAsTheBox) {
+  EXPECT_EQ(SingleThreadedSpanShape("SELECT COUNT(*) FROM ahn2 WHERE x "
+                                    "BETWEEN 85010 AND 85060 AND y BETWEEN "
+                                    "444010 AND 444060"),
+            kBoxShape);
 }
 
 }  // namespace
