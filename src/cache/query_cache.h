@@ -61,14 +61,15 @@ enum class Tier : uint8_t { kSelection = 0, kGridCells = 1, kAggregate = 2 };
 constexpr size_t kNumTiers = 3;
 const char* TierName(Tier tier);
 
-/// Tier (a) value: everything of a SelectionResult except the profile
-/// (wall times are per-execution; a hit reports itself via a cache.hit
-/// span instead).
+/// Tier (a) value: everything of a SelectionResult (or, for a NEAR entry,
+/// of a NearSelection) except the profile (wall times are per-execution;
+/// a hit reports itself via a cache.hit span instead).
 struct CachedSelection {
   std::vector<uint64_t> row_ids;
   ImprintScanStats filter_x;
   ImprintScanStats filter_y;
   RefinementStats refine;
+  uint64_t features_matched = 0;  ///< NEAR entries only
 
   size_t MemoryBytes() const {
     return sizeof(*this) + row_ids.capacity() * sizeof(uint64_t);

@@ -52,6 +52,20 @@ T FromBits(int64_t v) {
   }
 }
 
+// Bit-pattern arithmetic in uint64_t: the integer views of doubles with
+// mixed signs (and int64 extremes) span more than int64_t can hold, so a
+// signed difference would overflow. Modular arithmetic round-trips every
+// pattern, and the decoder inverts it with the same wrap.
+inline uint64_t WrapSub(int64_t a, int64_t b) {
+  return static_cast<uint64_t>(a) - static_cast<uint64_t>(b);
+}
+inline int64_t WrapDelta(int64_t a, int64_t b) {
+  return static_cast<int64_t>(WrapSub(a, b));
+}
+inline int64_t WrapAdd(int64_t a, uint64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) + b);
+}
+
 template <typename T>
 void Append64(std::vector<uint8_t>* out, T v) {
   const auto* p = reinterpret_cast<const uint8_t*>(&v);
@@ -73,12 +87,14 @@ bool Take64(const std::vector<uint8_t>& in, size_t* pos, T* v) {
 
 // ---- size estimators (cheap, no materialisation) -----------------------
 
+// Runs compare bit patterns, not values: 0.0 and -0.0 (and NaN payloads)
+// must stay distinct for the round trip to be exact.
 template <typename T>
 uint64_t RleRuns(std::span<const T> values) {
   if (values.empty()) return 0;
   uint64_t runs = 1;
   for (size_t i = 1; i < values.size(); ++i) {
-    runs += values[i] != values[i - 1];
+    runs += ToBits(values[i]) != ToBits(values[i - 1]);
   }
   return runs;
 }
@@ -92,7 +108,7 @@ uint32_t ForBits(std::span<const T> values, int64_t* out_min) {
     mx = std::max(mx, b);
   }
   *out_min = mn;
-  return BitsFor(static_cast<uint64_t>(mx - mn));
+  return BitsFor(WrapSub(mx, mn));
 }
 
 // Bit width of the zigzag deltas, excluding the first value (which is
@@ -103,7 +119,7 @@ uint32_t DeltaBits(std::span<const T> values) {
   int64_t prev = values.empty() ? 0 : ToBits(values[0]);
   for (size_t i = 1; i < values.size(); ++i) {
     int64_t b = ToBits(values[i]);
-    max_zz = std::max(max_zz, ZigZagEncode(b - prev));
+    max_zz = std::max(max_zz, ZigZagEncode(WrapDelta(b, prev)));
     prev = b;
   }
   return BitsFor(max_zz);
@@ -118,7 +134,7 @@ void EncodeRle(std::span<const T> values, std::vector<uint8_t>* out) {
   size_t i = 0;
   while (i < values.size()) {
     size_t j = i + 1;
-    while (j < values.size() && values[j] == values[i] &&
+    while (j < values.size() && ToBits(values[j]) == ToBits(values[i]) &&
            j - i < 0xFFFFFFFFull) {
       ++j;
     }
@@ -158,7 +174,7 @@ void EncodeFor(std::span<const T> values, std::vector<uint8_t>* out) {
   out->push_back(static_cast<uint8_t>(bits));
   BitWriter bw(out);
   for (T v : values) {
-    bw.Write(static_cast<uint64_t>(ToBits(v) - mn), bits);
+    bw.Write(WrapSub(ToBits(v), mn), bits);
   }
   bw.FlushByte();
 }
@@ -178,7 +194,7 @@ Status DecodeFor(const uint8_t* in, size_t size, uint64_t count, T* out) {
     if (bits > 0 && !br.Read(&packed, bits)) {
       return Status::Corruption("FOR: truncated payload");
     }
-    out[i] = FromBits<T>(mn + static_cast<int64_t>(packed));
+    out[i] = FromBits<T>(WrapAdd(mn, packed));
   }
   return Status::OK();
 }
@@ -193,7 +209,7 @@ void EncodeDelta(std::span<const T> values, std::vector<uint8_t>* out) {
   int64_t prev = first;
   for (size_t i = 1; i < values.size(); ++i) {
     int64_t b = ToBits(values[i]);
-    bw.Write(ZigZagEncode(b - prev), bits);
+    bw.Write(ZigZagEncode(WrapDelta(b, prev)), bits);
     prev = b;
   }
   bw.FlushByte();
@@ -219,7 +235,7 @@ Status DecodeDelta(const uint8_t* in, size_t size, uint64_t count, T* out) {
     if (bits > 0 && !br.Read(&z, bits)) {
       return Status::Corruption("DELTA: truncated payload");
     }
-    prev += ZigZagDecode(z);
+    prev = WrapAdd(prev, static_cast<uint64_t>(ZigZagDecode(z)));
     out[i] = FromBits<T>(prev);
   }
   return Status::OK();
@@ -310,7 +326,8 @@ Status DecompressChunkPayload(DataType type, ColumnCodec codec,
       case ColumnCodec::kRaw: {
         uint64_t bytes = count * sizeof(T);
         if (bytes > size) return Status::Corruption("raw payload truncated");
-        std::memcpy(typed, data, bytes);
+        // An empty column has no buffer; memcpy forbids null even for 0.
+        if (bytes > 0) std::memcpy(typed, data, bytes);
         return Status::OK();
       }
       case ColumnCodec::kRle: return DecodeRle<T>(data, size, count, typed);

@@ -92,6 +92,9 @@ Result<BinBounds> BinBounds::Sample(const Column& column, uint32_t max_bins,
       !st.ok()) {
     return st;
   }
+  // NaN has no place in the order (BinOf files it in bin 0), and sorting
+  // it would break the comparator's strict weak ordering.
+  std::erase_if(sample, [](double v) { return std::isnan(v); });
   std::sort(sample.begin(), sample.end());
   sample.erase(std::unique(sample.begin(), sample.end()), sample.end());
 

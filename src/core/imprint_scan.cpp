@@ -4,6 +4,7 @@
 #include <chrono>
 #include <numeric>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/imprints_io.h"
@@ -100,15 +101,15 @@ Status ImprintRangeSelect(const Column& column, const ImprintsIndex& index,
           });
     };
 
+    constexpr bool kNanPossible = std::is_floating_point_v<T>;
     if (!want_parallel) {
-      index.FilterRangeRuns(lo, hi,
-                            [&](uint64_t first_line, uint64_t line_count,
-                                bool full) {
-                              if (!scan_status.ok()) return;
-                              scan_status =
-                                  scan_lines(first_line, line_count, full,
-                                             merged);
-                            });
+      index.FilterRangeRuns(
+          lo, hi,
+          [&](uint64_t first_line, uint64_t line_count, bool full) {
+            if (!scan_status.ok()) return;
+            scan_status = scan_lines(first_line, line_count, full, merged);
+          },
+          kNanPossible);
       return;
     }
 
@@ -118,10 +119,12 @@ Status ImprintRangeSelect(const Column& column, const ImprintsIndex& index,
     // morsel covers whole cache lines (stats split exactly) and whole
     // 64-bit words (workers write disjoint BitVector words).
     std::vector<CandidateRun> runs;
-    index.FilterRangeRuns(lo, hi, [&](uint64_t first_line, uint64_t line_count,
-                                      bool full) {
-      runs.push_back({first_line, line_count, full});
-    });
+    index.FilterRangeRuns(
+        lo, hi,
+        [&](uint64_t first_line, uint64_t line_count, bool full) {
+          runs.push_back({first_line, line_count, full});
+        },
+        kNanPossible);
     if (runs.empty()) return;
 
     const uint64_t unit = std::lcm<uint64_t>(64, vpl);

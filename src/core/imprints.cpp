@@ -377,7 +377,8 @@ uint64_t ImprintsIndex::VectorAtLine(uint64_t line) const {
   return 0;
 }
 
-ImprintMask ImprintsIndex::MaskForRange(double lo, double hi) const {
+ImprintMask ImprintsIndex::MaskForRange(double lo, double hi,
+                                        bool nan_possible) const {
   ImprintMask m;
   if (lo > hi) return m;  // empty query mask: nothing matches
   uint32_t nbins = bins_.num_bins();
@@ -391,10 +392,11 @@ ImprintMask ImprintsIndex::MaskForRange(double lo, double hi) const {
   // (upper(b - 1), upper(b)], so the bins strictly between bin_lo and
   // bin_hi always qualify. bin_lo's values may fall below lo: BinOf(lo) ==
   // bin_lo means lo > upper(bin_lo - 1), so only bin 0 with lo at the
-  // bottom of the domain reaches its lower edge. bin_hi qualifies when hi
-  // reaches its upper bound. A bin that is both ends needs both.
-  const bool lo_covered =
-      bin_lo == 0 && lo <= -std::numeric_limits<double>::max();
+  // bottom of the domain reaches its lower edge — unless the column can
+  // hold NaN, which bin 0 also holds. bin_hi qualifies when hi reaches its
+  // upper bound. A bin that is both ends needs both.
+  const bool lo_covered = bin_lo == 0 && !nan_possible &&
+                          lo <= -std::numeric_limits<double>::max();
   const bool hi_covered = hi >= bins_.upper(bin_hi);
   const uint32_t first = lo_covered ? bin_lo : bin_lo + 1;
   const uint32_t end = hi_covered ? bin_hi + 1 : bin_hi;  // exclusive

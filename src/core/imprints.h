@@ -107,7 +107,11 @@ class ImprintsIndex {
   uint64_t built_epoch() const { return built_epoch_; }
 
   /// Builds the query/inner masks for the inclusive range [lo, hi].
-  ImprintMask MaskForRange(double lo, double hi) const;
+  /// `nan_possible` marks a floating-point column: the builder files NaN
+  /// in bin 0, so bin 0 is then never inner and its lines are value-checked
+  /// (a NaN never satisfies a range, even an unbounded one).
+  ImprintMask MaskForRange(double lo, double hi,
+                           bool nan_possible = false) const;
 
   /// Range filter: sets bit L in `candidates` when cache line L may hold a
   /// value in [lo, hi], and in `full_lines` (if non-null) when *every*
@@ -118,9 +122,11 @@ class ImprintsIndex {
                    BitVector* full_lines = nullptr) const;
 
   /// As FilterRange but invokes `fn(first_line, line_count, full)` per
-  /// maximal run, avoiding bit vector materialisation.
+  /// maximal run, avoiding bit vector materialisation. `nan_possible` as in
+  /// MaskForRange.
   template <typename Fn>
-  void FilterRangeRuns(double lo, double hi, Fn&& fn) const;
+  void FilterRangeRuns(double lo, double hi, Fn&& fn,
+                       bool nan_possible = false) const;
 
   ImprintsStorage Storage(uint64_t column_payload_bytes) const;
 
@@ -167,8 +173,9 @@ class ImprintsIndex {
 };
 
 template <typename Fn>
-void ImprintsIndex::FilterRangeRuns(double lo, double hi, Fn&& fn) const {
-  ImprintMask mask = MaskForRange(lo, hi);
+void ImprintsIndex::FilterRangeRuns(double lo, double hi, Fn&& fn,
+                                    bool nan_possible) const {
+  ImprintMask mask = MaskForRange(lo, hi, nan_possible);
   uint64_t line = 0;
   size_t vec_idx = 0;
   // Coalesce adjacent emissions with equal `full` status.

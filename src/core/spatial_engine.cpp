@@ -195,9 +195,9 @@ void SpatialQueryEngine::set_cache_budget(uint64_t budget_bytes) {
 }
 
 Result<std::string> SpatialQueryEngine::SelectionKey(
-    const Geometry& geometry, double buffer,
-    const std::vector<AttributeRange>& thematic) const {
-  cache::KeyBuilder kb("sel");
+    const char* tag, const std::vector<const Geometry*>& geometries,
+    double buffer, const std::vector<AttributeRange>& ranges) const {
+  cache::KeyBuilder kb(tag);
   kb.AppendU64(table_->table_id());
   GEOCOL_ASSIGN_OR_RETURN(ColumnPtr xcol, table_->GetColumn(x_name_));
   GEOCOL_ASSIGN_OR_RETURN(ColumnPtr ycol, table_->GetColumn(y_name_));
@@ -205,10 +205,11 @@ Result<std::string> SpatialQueryEngine::SelectionKey(
   kb.AppendU64(xcol->epoch());
   kb.Append(y_name_);
   kb.AppendU64(ycol->epoch());
-  kb.AppendGeometry(geometry);
+  kb.AppendU64(geometries.size());
+  for (const Geometry* geometry : geometries) kb.AppendGeometry(*geometry);
   kb.AppendDouble(buffer);
-  kb.AppendU64(thematic.size());
-  for (const AttributeRange& attr : thematic) {
+  kb.AppendU64(ranges.size());
+  for (const AttributeRange& attr : ranges) {
     GEOCOL_ASSIGN_OR_RETURN(ColumnPtr col, table_->GetColumn(attr.column));
     kb.Append(attr.column);
     kb.AppendU64(col->epoch());
@@ -263,8 +264,9 @@ Result<double> SpatialQueryEngine::Aggregate(
   std::string agg_key;
   if (cache_ != nullptr && kind != AggKind::kCount) {
     GEOCOL_ASSIGN_OR_RETURN(ColumnPtr agg_col, table_->GetColumn(column));
-    GEOCOL_ASSIGN_OR_RETURN(std::string sel_key,
-                            SelectionKey(geometry, buffer, thematic));
+    GEOCOL_ASSIGN_OR_RETURN(
+        std::string sel_key,
+        SelectionKey("sel", {&geometry}, buffer, thematic));
     cache::KeyBuilder kb("agg");
     kb.Append(sel_key);
     kb.Append(column);
@@ -329,6 +331,119 @@ Status SpatialQueryEngine::FilterColumn(const ColumnPtr& column, double lo,
   return Status::OK();
 }
 
+Status SpatialQueryEngine::FilterStep(const ColumnPtr& xcol,
+                                      const ColumnPtr& ycol, const Box* env,
+                                      const std::vector<AttributeRange>& ranges,
+                                      BitVector* rows,
+                                      ImprintScanStats* filter_x,
+                                      ImprintScanStats* filter_y,
+                                      QueryProfile* profile) {
+  struct FilterBranch {
+    ColumnPtr column;
+    double lo, hi;
+    std::string op;
+    BitVector rows;
+    ImprintScanStats stats;
+    QueryProfile profile;
+    Status status;
+  };
+  std::vector<FilterBranch> branches;
+  branches.reserve(2 + ranges.size());
+  if (env != nullptr) {
+    branches.push_back(
+        {xcol, env->min_x, env->max_x, "filter.imprints.x", {}, {}, {}, {}});
+    branches.push_back(
+        {ycol, env->min_y, env->max_y, "filter.imprints.y", {}, {}, {}, {}});
+  }
+  for (const AttributeRange& attr : ranges) {
+    GEOCOL_ASSIGN_OR_RETURN(ColumnPtr col, table_->GetColumn(attr.column));
+    if (col->size() != xcol->size()) {
+      return Status::Corruption("thematic column length mismatch: " +
+                                attr.column);
+    }
+    branches.push_back({col, attr.lo, attr.hi,
+                        "filter.imprints." + attr.column, {}, {}, {}, {}});
+  }
+  auto run = [&](size_t i) {
+    FilterBranch& b = branches[i];
+    b.status = FilterColumn(b.column, b.lo, b.hi, &b.rows, &b.stats,
+                            &b.profile, b.op);
+  };
+  if (pool_ != nullptr) {
+    pool_->ParallelFor(branches.size(), run);
+  } else {
+    for (size_t i = 0; i < branches.size(); ++i) run(i);
+  }
+  for (const FilterBranch& b : branches) {
+    GEOCOL_RETURN_NOT_OK(b.status);
+  }
+  size_t next = 0;
+  if (env != nullptr) {
+    *filter_x = branches[0].stats;
+    *filter_y = branches[1].stats;
+    profile->Append(branches[0].profile);
+    profile->Append(branches[1].profile);
+    *rows = std::move(branches[0].rows);
+    Timer t;
+    rows->And(branches[1].rows);
+    profile->Add("filter.intersect", t.ElapsedNanos(),
+                 filter_x->rows_selected + filter_y->rows_selected,
+                 rows->Count());
+    next = 2;
+  }
+  for (size_t i = next; i < branches.size(); ++i) {
+    FilterBranch& b = branches[i];
+    profile->Append(b.profile);
+    if (i == 0) {
+      *rows = std::move(b.rows);
+      continue;
+    }
+    Timer t;
+    rows->And(b.rows);
+    profile->Add("filter.intersect." + ranges[i - next].column,
+                 t.ElapsedNanos(), b.stats.rows_selected, rows->Count());
+  }
+  return Status::OK();
+}
+
+Status SpatialQueryEngine::RefineStep(const Column& x, const Column& y,
+                                      const BitVector& candidates,
+                                      uint64_t count, const Geometry& geometry,
+                                      double buffer,
+                                      std::vector<uint64_t>* out,
+                                      RefinementStats* stats,
+                                      QueryProfile* profile) {
+  Timer t;
+  if (geometry.is_box() && buffer == 0.0) {
+    out->reserve(out->size() + count);
+    candidates.CollectSetBits(out);
+    stats->candidates = count;
+    stats->accepted = count;
+    profile->Add("refine.none(box)", t.ElapsedNanos(), count, count);
+    return Status::OK();
+  }
+  // Tier (b): seed the refinement grid with classifications from earlier
+  // queries over the same geometry, and publish what this query adds.
+  CacheCellHook cell_hook(cache_, geometry, buffer);
+  const size_t before = out->size();
+  GEOCOL_RETURN_NOT_OK(GridRefine(x, y, candidates, geometry, buffer,
+                                  options_.refine, out, stats, pool_,
+                                  cache_ != nullptr ? &cell_hook : nullptr));
+  char detail[128];
+  std::snprintf(detail, sizeof(detail),
+                "grid=%ux%u cells in/bnd/out=%llu/%llu/%llu exact=%llu",
+                stats->grid_cols, stats->grid_rows,
+                static_cast<unsigned long long>(stats->cells_inside),
+                static_cast<unsigned long long>(stats->cells_boundary),
+                static_cast<unsigned long long>(stats->cells_outside),
+                static_cast<unsigned long long>(stats->exact_tests));
+  int32_t span = profile->AddParallel(
+      options_.refine.use_grid ? "refine.grid" : "refine.exhaustive",
+      t.ElapsedNanos(), count, out->size() - before, stats->workers, detail);
+  if (cell_hook.seeded()) profile->AddAttr(span, "cache_hit", "grid");
+  return Status::OK();
+}
+
 Result<SelectionResult> SpatialQueryEngine::Execute(
     const Geometry& geometry, double buffer,
     const std::vector<AttributeRange>& thematic) {
@@ -355,7 +470,7 @@ Result<SelectionResult> SpatialQueryEngine::Execute(
   std::string cache_key;
   if (cache_ != nullptr) {
     GEOCOL_ASSIGN_OR_RETURN(cache_key,
-                            SelectionKey(geometry, buffer, thematic));
+                            SelectionKey("sel", {&geometry}, buffer, thematic));
     if (auto hit = cache_->LookupSelection(cache_key)) {
       result.row_ids = hit->row_ids;
       result.filter_x = hit->filter_x;
@@ -369,158 +484,138 @@ Result<SelectionResult> SpatialQueryEngine::Execute(
       return result;
     }
   }
-  auto store_selection = [&]() {
-    if (cache_ == nullptr) return;
-    // Pre-check admission so a doorkeeper-deferred (first-sighting) large
-    // result skips the row-id copy entirely, not just the insert.
-    if (!cache_->ShouldAdmit(cache::Tier::kSelection, cache_key,
-                             result.row_ids.size() * sizeof(uint64_t))) {
-      return;
-    }
+
+  // ---- Step 1: filter. Imprint range selections on x and y over the
+  // envelope, intersected, then conjunctive thematic ranges, each
+  // narrowing the selection.
+  BitVector rows;
+  result.profile.OpenSpan("filter");
+  GEOCOL_RETURN_NOT_OK(FilterStep(xcol, ycol, &env, thematic, &rows,
+                                  &result.filter_x, &result.filter_y,
+                                  &result.profile));
+
+  // ---- Step 2: refinement. The filter span must close before the refine
+  // timer starts so the two spans never overlap in trace exports.
+  const uint64_t candidates = rows.Count();
+  result.profile.CloseSpan(xcol->size(), candidates);
+  GEOCOL_RETURN_NOT_OK(RefineStep(*xcol, *ycol, rows, candidates, geometry,
+                                  buffer, &result.row_ids, &result.refine,
+                                  &result.profile));
+  // Pre-check admission so a doorkeeper-deferred (first-sighting) large
+  // result skips the row-id copy entirely, not just the insert.
+  if (cache_ != nullptr &&
+      cache_->ShouldAdmit(cache::Tier::kSelection, cache_key,
+                          result.row_ids.size() * sizeof(uint64_t))) {
     auto value = std::make_shared<cache::CachedSelection>();
     value->row_ids = result.row_ids;
     value->filter_x = result.filter_x;
     value->filter_y = result.filter_y;
     value->refine = result.refine;
     cache_->InsertSelection(cache_key, std::move(value));
-  };
+  }
+  h_query.Observe(query_timer.ElapsedNanos());
+  return result;
+}
 
-  // ---- Step 1: filter. Imprint range selections on x and y, intersected,
-  // then conjunctive thematic ranges, each narrowing the selection. With a
-  // pool, all filter branches execute concurrently into branch-local state
-  // (selection, stats, profile); results merge in the serial order, so the
-  // selection, stats and operator order are identical to serial execution.
-  BitVector rows;
-  result.profile.OpenSpan("filter");
-  if (pool_ != nullptr) {
-    struct FilterBranch {
-      ColumnPtr column;
-      double lo, hi;
-      std::string op;
-      BitVector rows;
-      ImprintScanStats stats;
-      QueryProfile profile;
-      Status status;
-    };
-    std::vector<FilterBranch> branches;
-    branches.reserve(2 + thematic.size());
-    branches.push_back(
-        {xcol, env.min_x, env.max_x, "filter.imprints.x", {}, {}, {}, {}});
-    branches.push_back(
-        {ycol, env.min_y, env.max_y, "filter.imprints.y", {}, {}, {}, {}});
-    for (const AttributeRange& attr : thematic) {
-      GEOCOL_ASSIGN_OR_RETURN(ColumnPtr col, table_->GetColumn(attr.column));
-      if (col->size() != xcol->size()) {
-        return Status::Corruption("thematic column length mismatch: " +
-                                  attr.column);
-      }
-      branches.push_back({col, attr.lo, attr.hi,
-                          "filter.imprints." + attr.column, {}, {}, {}, {}});
-    }
-    pool_->ParallelFor(branches.size(), [&](size_t i) {
-      FilterBranch& b = branches[i];
-      b.status = FilterColumn(b.column, b.lo, b.hi, &b.rows, &b.stats,
-                              &b.profile, b.op);
-    });
-    for (const FilterBranch& b : branches) {
-      GEOCOL_RETURN_NOT_OK(b.status);
-    }
-    result.filter_x = branches[0].stats;
-    result.filter_y = branches[1].stats;
-    result.profile.Append(branches[0].profile);
-    result.profile.Append(branches[1].profile);
-    rows = std::move(branches[0].rows);
-    {
-      Timer t;
-      rows.And(branches[1].rows);
-      result.profile.Add(
-          "filter.intersect", t.ElapsedNanos(),
-          result.filter_x.rows_selected + result.filter_y.rows_selected,
-          rows.Count());
-    }
-    for (size_t i = 2; i < branches.size(); ++i) {
-      const FilterBranch& b = branches[i];
-      result.profile.Append(b.profile);
-      Timer t;
-      rows.And(b.rows);
-      result.profile.Add("filter.intersect." + thematic[i - 2].column,
-                         t.ElapsedNanos(), b.stats.rows_selected, rows.Count());
-    }
-  } else {
-    GEOCOL_RETURN_NOT_OK(FilterColumn(xcol, env.min_x, env.max_x, &rows,
-                                      &result.filter_x, &result.profile,
-                                      "filter.imprints.x"));
-    BitVector rows_y;
-    GEOCOL_RETURN_NOT_OK(FilterColumn(ycol, env.min_y, env.max_y, &rows_y,
-                                      &result.filter_y, &result.profile,
-                                      "filter.imprints.y"));
-    {
-      Timer t;
-      rows.And(rows_y);
-      result.profile.Add(
-          "filter.intersect", t.ElapsedNanos(),
-          result.filter_x.rows_selected + result.filter_y.rows_selected,
-          rows.Count());
-    }
-    for (const AttributeRange& attr : thematic) {
-      GEOCOL_ASSIGN_OR_RETURN(ColumnPtr col, table_->GetColumn(attr.column));
-      if (col->size() != xcol->size()) {
-        return Status::Corruption("thematic column length mismatch: " +
-                                  attr.column);
-      }
-      BitVector sel;
-      ImprintScanStats st;
-      GEOCOL_RETURN_NOT_OK(FilterColumn(col, attr.lo, attr.hi, &sel, &st,
-                                        &result.profile,
-                                        "filter.imprints." + attr.column));
-      Timer t;
-      rows.And(sel);
-      result.profile.Add("filter.intersect." + attr.column, t.ElapsedNanos(),
-                         st.rows_selected, rows.Count());
+Result<NearSelection> SpatialQueryEngine::SelectNear(
+    const std::vector<const Geometry*>& features, double distance,
+    const std::vector<AttributeRange>& ranges) {
+  GEOCOL_ASSIGN_OR_RETURN(ColumnPtr xcol, table_->GetColumn(x_name_));
+  GEOCOL_ASSIGN_OR_RETURN(ColumnPtr ycol, table_->GetColumn(y_name_));
+  if (xcol->size() != ycol->size()) {
+    return Status::Corruption("x/y column length mismatch");
+  }
+  NearSelection result;
+  if (xcol->empty() || features.empty()) return result;
+  const double buffer = distance > 0 ? distance : 0.0;
+
+  GEOCOL_METRIC_COUNTER(c_queries, "geocol_queries_total");
+  GEOCOL_METRIC_HISTOGRAM(h_query, "geocol_query_nanos");
+  c_queries.Increment();
+  Timer query_timer;
+
+  // ---- Cache tier (a): one entry for the whole join, keyed on every
+  // feature geometry in order.
+  std::string cache_key;
+  if (cache_ != nullptr) {
+    GEOCOL_ASSIGN_OR_RETURN(cache_key,
+                            SelectionKey("near", features, buffer, ranges));
+    if (auto hit = cache_->LookupSelection(cache_key)) {
+      result.row_ids = hit->row_ids;
+      result.features_matched = hit->features_matched;
+      int32_t span =
+          result.profile.Add("cache.hit", query_timer.ElapsedNanos(),
+                             xcol->size(), result.row_ids.size());
+      result.profile.AddAttr(span, "cache_hit", "selection");
+      h_query.Observe(query_timer.ElapsedNanos());
+      return result;
     }
   }
 
-  // ---- Step 2: refinement. A box query with no buffer is already exact
-  // after the envelope filter; everything else goes through the grid. The
-  // filter span must close before the refine timer starts so the two
-  // spans never overlap in trace exports.
-  uint64_t candidates = rows.Count();
-  result.profile.CloseSpan(xcol->size(), candidates);
-  Timer t;
-  if (geometry.is_box() && buffer == 0.0) {
-    result.row_ids.reserve(candidates);
-    rows.CollectSetBits(&result.row_ids);
-    result.refine.candidates = candidates;
-    result.refine.accepted = candidates;
-    result.profile.Add("refine.none(box)", t.ElapsedNanos(), candidates,
+  result.profile.OpenSpan("near");
+  // ---- The statement's ranges, filtered once into a base mask.
+  BitVector base;
+  const bool masked = !ranges.empty();
+  if (masked) {
+    result.profile.OpenSpan("filter");
+    GEOCOL_RETURN_NOT_OK(FilterStep(xcol, ycol, nullptr, ranges, &base,
+                                    nullptr, nullptr, &result.profile));
+    result.profile.CloseSpan(xcol->size(), base.Count());
+  }
+
+  // ---- Per feature: filter, mask, refine into the selection bitmap.
+  BitVector selected(xcol->size());
+  uint64_t accepted_total = 0;
+  std::vector<uint64_t> accepted;
+  for (size_t i = 0; i < features.size(); ++i) {
+    const Geometry& geometry = *features[i];
+    Box env = geometry.Envelope();
+    if (buffer > 0) env = env.Expanded(buffer);
+    if (env.empty()) continue;
+    const int32_t span = result.profile.OpenSpan("near.feature");
+    result.profile.AddAttr(span, "feature", static_cast<uint64_t>(i));
+
+    BitVector rows;
+    ImprintScanStats filter_x, filter_y;
+    result.profile.OpenSpan("filter");
+    GEOCOL_RETURN_NOT_OK(FilterStep(xcol, ycol, &env, {}, &rows, &filter_x,
+                                    &filter_y, &result.profile));
+    Timer t;
+    const uint64_t in_envelope = rows.Count();
+    if (masked) rows.And(base);
+    rows.AndNot(selected);
+    const uint64_t candidates = rows.Count();
+    result.profile.Add("filter.mask", t.ElapsedNanos(), in_envelope,
                        candidates);
-    store_selection();
-    h_query.Observe(query_timer.ElapsedNanos());
-    return result;
+    result.profile.CloseSpan(xcol->size(), candidates);
+
+    accepted.clear();
+    RefinementStats refine;
+    GEOCOL_RETURN_NOT_OK(RefineStep(*xcol, *ycol, rows, candidates, geometry,
+                                    buffer, &accepted, &refine,
+                                    &result.profile));
+    for (uint64_t r : accepted) selected.Set(r);
+    accepted_total += accepted.size();
+    if (!accepted.empty()) ++result.features_matched;
+    result.profile.CloseSpan(candidates, accepted.size());
   }
-  // Tier (b): seed the refinement grid with classifications from earlier
-  // queries over the same geometry, and publish what this query adds.
-  CacheCellHook cell_hook(cache_, geometry, buffer);
-  GEOCOL_RETURN_NOT_OK(
-      GridRefine(*xcol, *ycol, rows, geometry, buffer, options_.refine,
-                 &result.row_ids, &result.refine, pool_,
-                 cache_ != nullptr ? &cell_hook : nullptr));
-  char detail[128];
-  std::snprintf(detail, sizeof(detail),
-                "grid=%ux%u cells in/bnd/out=%llu/%llu/%llu exact=%llu",
-                result.refine.grid_cols, result.refine.grid_rows,
-                static_cast<unsigned long long>(result.refine.cells_inside),
-                static_cast<unsigned long long>(result.refine.cells_boundary),
-                static_cast<unsigned long long>(result.refine.cells_outside),
-                static_cast<unsigned long long>(result.refine.exact_tests));
-  int32_t refine_span = result.profile.AddParallel(
-      options_.refine.use_grid ? "refine.grid" : "refine.exhaustive",
-      t.ElapsedNanos(), candidates, result.row_ids.size(),
-      result.refine.workers, detail);
-  if (cell_hook.seeded()) {
-    result.profile.AddAttr(refine_span, "cache_hit", "grid");
+
+  // ---- Union: the set bits are the ascending, unique answer.
+  Timer t;
+  result.row_ids.reserve(accepted_total);
+  selected.CollectSetBits(&result.row_ids);
+  result.profile.Add("near.union", t.ElapsedNanos(), accepted_total,
+                     result.row_ids.size());
+  result.profile.CloseSpan(xcol->size(), result.row_ids.size());
+
+  if (cache_ != nullptr &&
+      cache_->ShouldAdmit(cache::Tier::kSelection, cache_key,
+                          result.row_ids.size() * sizeof(uint64_t))) {
+    auto value = std::make_shared<cache::CachedSelection>();
+    value->row_ids = result.row_ids;
+    value->features_matched = result.features_matched;
+    cache_->InsertSelection(cache_key, std::move(value));
   }
-  store_selection();
   h_query.Observe(query_timer.ElapsedNanos());
   return result;
 }

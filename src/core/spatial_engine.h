@@ -81,6 +81,13 @@ struct SelectionResult {
   uint64_t count() const { return row_ids.size(); }
 };
 
+/// Result of a NEAR selection (SpatialQueryEngine::SelectNear).
+struct NearSelection {
+  std::vector<uint64_t> row_ids;  ///< ascending, unique qualifying row ids
+  uint64_t features_matched = 0;  ///< features that added at least one row
+  QueryProfile profile;           ///< near -> per-feature spans -> union
+};
+
 /// Aggregates `column` over `rows`. kCount ignores the column. Resident
 /// values are read as typed spans; paged columns gather the selected
 /// values once (faulting only the chunks the selection touches) and
@@ -156,6 +163,20 @@ class SpatialQueryEngine {
   Result<SelectionResult> Select(const Geometry& geometry, double buffer,
                                  const std::vector<AttributeRange>& thematic);
 
+  /// Points within `distance` of any of `features` (containment when
+  /// `distance` is 0) whose `ranges` columns all lie in their [lo, hi] —
+  /// the NEAR join of scenario 2 (§4.2) as one operation over one row
+  /// bitmap. The ranges filter once into a base mask. Each feature, in
+  /// order, is imprint-filtered on x/y over its buffered envelope, masked
+  /// by the base and by the rows earlier features already selected, and
+  /// grid-refined; its accepted rows join the selection bitmap, whose set
+  /// bits are the ascending, unique answer. The whole join is one tier-(a)
+  /// cache entry. Rows, features_matched and span order are identical for
+  /// any thread count.
+  Result<NearSelection> SelectNear(const std::vector<const Geometry*>& features,
+                                   double distance,
+                                   const std::vector<AttributeRange>& ranges);
+
   /// Aggregate of `column` over the points selected by the predicate:
   /// e.g. "compute the average elevation of the LIDAR points near ..."
   Result<double> Aggregate(const Geometry& geometry, double buffer,
@@ -193,13 +214,35 @@ class SpatialQueryEngine {
                       BitVector* rows, ImprintScanStats* stats,
                       QueryProfile* profile, const std::string& op_name);
 
+  /// Step 1 of the two-step model: imprint range selections on x/y over
+  /// `env` (skipped when null; filter_x/filter_y are then unused) and
+  /// on every `ranges` column, intersected in that order into `rows`. With
+  /// a pool the selections execute concurrently into branch-local state
+  /// and merge in the serial order, so the selection, stats and span order
+  /// are identical to serial execution.
+  Status FilterStep(const ColumnPtr& xcol, const ColumnPtr& ycol,
+                    const Box* env, const std::vector<AttributeRange>& ranges,
+                    BitVector* rows, ImprintScanStats* filter_x,
+                    ImprintScanStats* filter_y, QueryProfile* profile);
+
+  /// Step 2: appends the `candidates` (holding `count` set bits) that
+  /// satisfy (geometry, buffer) to `out`, ascending. An unbuffered box is
+  /// already exact after the filter; everything else goes through
+  /// GridRefine on the pool with the tier-(b) cell hook.
+  Status RefineStep(const Column& x, const Column& y,
+                    const BitVector& candidates, uint64_t count,
+                    const Geometry& geometry, double buffer,
+                    std::vector<uint64_t>* out, RefinementStats* stats,
+                    QueryProfile* profile);
+
   /// Tier (a)/(c) key prefix: the complete byte image of everything the
-  /// selection depends on — table id, per-column epochs, geometry bits,
-  /// thematic ranges, and result-shaping knobs (thread count, imprint and
-  /// refine options). NotFound when a thematic column is missing.
+  /// selection depends on — `tag`, table id, per-column epochs, the bits
+  /// of every geometry in order, ranges, and result-shaping knobs (thread
+  /// count, imprint and refine options). NotFound when a range column is
+  /// missing.
   Result<std::string> SelectionKey(
-      const Geometry& geometry, double buffer,
-      const std::vector<AttributeRange>& thematic) const;
+      const char* tag, const std::vector<const Geometry*>& geometries,
+      double buffer, const std::vector<AttributeRange>& ranges) const;
 
   /// Construction tail shared by both constructors (sidecar dir, pool
   /// hand-off to the imprint manager, cache binding).

@@ -1,7 +1,5 @@
 #include "gis/spatial_join.h"
 
-#include <algorithm>
-
 #include "geom/predicates.h"
 #include "util/timer.h"
 
@@ -11,7 +9,13 @@ Result<NearLayerResult> PointsNearLayerClass(SpatialQueryEngine* engine,
                                              VectorLayer* layer,
                                              uint32_t feature_class,
                                              double distance) {
-  NearLayerResult result;
+  return PointsNearLayerClass(engine, layer, feature_class, distance, {});
+}
+
+Result<NearLayerResult> PointsNearLayerClass(
+    SpatialQueryEngine* engine, VectorLayer* layer, uint32_t feature_class,
+    double distance, const std::vector<AttributeRange>& ranges) {
+  QueryProfile profile;
   Timer t;
   std::vector<uint64_t> feature_idx;
   if (feature_class == 0) {
@@ -20,31 +24,17 @@ Result<NearLayerResult> PointsNearLayerClass(SpatialQueryEngine* engine,
   } else {
     feature_idx = layer->SelectByClass(feature_class);
   }
-  result.profile.Add("layer.class_select", t.ElapsedNanos(), layer->size(),
-                     feature_idx.size());
-
+  std::vector<const Geometry*> features;
+  features.reserve(feature_idx.size());
   for (uint64_t fi : feature_idx) {
-    const VectorFeature& f = layer->feature(fi);
-    GEOCOL_ASSIGN_OR_RETURN(
-        SelectionResult sel,
-        distance > 0 ? engine->SelectWithinDistance(f.geometry, distance)
-                     : engine->SelectInGeometry(f.geometry));
-    if (!sel.row_ids.empty()) ++result.features_matched;
-    result.row_ids.insert(result.row_ids.end(), sel.row_ids.begin(),
-                          sel.row_ids.end());
-    for (const OperatorProfile& op : sel.profile.operators()) {
-      result.profile.Add("  " + f.name + "." + op.name, op.nanos, op.rows_in,
-                         op.rows_out, op.detail);
-    }
+    features.push_back(&layer->feature(fi).geometry);
   }
-
-  Timer t2;
-  std::sort(result.row_ids.begin(), result.row_ids.end());
-  result.row_ids.erase(
-      std::unique(result.row_ids.begin(), result.row_ids.end()),
-      result.row_ids.end());
-  result.profile.Add("union.dedup", t2.ElapsedNanos(), result.row_ids.size(),
-                     result.row_ids.size());
+  profile.Add("layer.class_select", t.ElapsedNanos(), layer->size(),
+              feature_idx.size());
+  GEOCOL_ASSIGN_OR_RETURN(NearLayerResult result,
+                          engine->SelectNear(features, distance, ranges));
+  profile.Append(result.profile);
+  result.profile = std::move(profile);
   return result;
 }
 

@@ -12,20 +12,26 @@
 
 namespace geocol {
 
-/// Result of a point-cloud x layer join.
-struct NearLayerResult {
-  std::vector<uint64_t> row_ids;  ///< ascending, deduplicated point rows
-  uint64_t features_matched = 0;  ///< layer features that contributed
-  QueryProfile profile;
-};
+/// Result of a point-cloud x layer join: the ascending, unique point rows,
+/// the number of layer features that added at least one row, and the span
+/// tree (layer.class_select, then the engine's near subtree).
+using NearLayerResult = NearSelection;
 
 /// Selects points of `engine`'s table within `distance` of any feature of
-/// `layer` carrying `feature_class` (pass 0 to accept every class). Each
-/// feature triggers one two-step engine query; results are unioned.
+/// `layer` carrying `feature_class` (pass 0 to accept every class): a class
+/// select, then one SpatialQueryEngine::SelectNear over the features in
+/// layer order.
 Result<NearLayerResult> PointsNearLayerClass(SpatialQueryEngine* engine,
                                              VectorLayer* layer,
                                              uint32_t feature_class,
                                              double distance);
+
+/// As above, keeping only the points whose `ranges` columns all lie in
+/// their [lo, hi]. The engine filters the ranges before refinement, so a
+/// NaN value never qualifies.
+Result<NearLayerResult> PointsNearLayerClass(
+    SpatialQueryEngine* engine, VectorLayer* layer, uint32_t feature_class,
+    double distance, const std::vector<AttributeRange>& ranges);
 
 /// Aggregates `column` over the points selected by PointsNearLayerClass —
 /// e.g. "compute the average elevation of the LIDAR points that are near

@@ -22,8 +22,7 @@ namespace server {
 /// True when `plan` may join a shared-scan batch group: a plain flat
 /// point-cloud statement whose selection is a query box plus thematic
 /// ranges (the planner folds x/y ranges into that box). Excluded: sharded
-/// tables (per-shard scans already amortize), NEAR joins (their thematic
-/// post-filter keeps NaN rows, unlike the conjunctive path), buffered
+/// tables (per-shard scans already amortize), NEAR joins, buffered
 /// geometries and non-box shapes (refinement is not a range
 /// conjunction), and EXPLAIN [ANALYZE] (answers describe execution, not
 /// data).

@@ -70,6 +70,7 @@ inline void CellOf(const double* xs, const double* ys, size_t n,
 inline void RingMasks(const double* xs, const double* ys, size_t n,
                       const Point* pts, size_t npts, uint8_t* in_out,
                       uint8_t* edge_out) {
+  if (n == 0) return;  // the outputs may be null; memset forbids that
   std::memset(in_out, 0, n);
   std::memset(edge_out, 0, n);
   if (npts < 3) return;

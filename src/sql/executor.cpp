@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "geom/wkt.h"
 #include "gis/spatial_join.h"
@@ -77,11 +78,13 @@ AggKind AggKindOf(AggFunc f) {
   return AggKind::kCount;
 }
 
-/// Rows per batched value-access block in the post-filter, ORDER BY and
-/// projection paths below. Batching resolves the column's type dispatch
-/// once per block and, on the paged tier, faults each covering chunk once
-/// instead of once per row — and it surfaces chunk-fault errors as Status.
+/// Rows per batched value-access block in the ORDER BY and projection
+/// paths below. Batching resolves the column's type dispatch once per
+/// block and, on the paged tier, faults each covering chunk once instead
+/// of once per row — and it surfaces chunk-fault errors as Status.
 constexpr size_t kExecBlockRows = 1024;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// What a point-cloud statement reads its values from: a flat or live
 /// table as one shard at base 0, or a sharded table through the
@@ -203,41 +206,6 @@ Result<ResultSet> RenderPointCloud(const PlannedQuery& plan,
   return rs;
 }
 
-/// NEAR + box / thematic: keeps the joined rows whose values lie in every
-/// range (the per-feature engine calls cannot push these into the union).
-Result<std::vector<uint64_t>> NearPostFilter(
-    const PlannedQuery& plan, const PointCloudSource& src,
-    std::vector<uint64_t> rows, QueryProfile* profile) {
-  std::vector<AttributeRange> ranges = plan.thematic;
-  if (plan.has_geometry) {
-    const Box& box = plan.geometry.box();
-    ranges.push_back({"x", box.min_x, box.max_x});
-    ranges.push_back({"y", box.min_y, box.max_y});
-  }
-  if (ranges.empty()) return rows;
-  Timer t;
-  std::vector<uint8_t> keep(rows.size(), 1);
-  std::vector<double> vals(kExecBlockRows);
-  for (const AttributeRange& a : ranges) {
-    GEOCOL_ASSIGN_OR_RETURN(ShardedColumnReader col, src.Column(a.column));
-    for (size_t base = 0; base < rows.size(); base += kExecBlockRows) {
-      const size_t bn = std::min(kExecBlockRows, rows.size() - base);
-      GEOCOL_RETURN_NOT_OK(
-          col.GetDoubleBatch(rows.data() + base, bn, vals.data()));
-      for (size_t i = 0; i < bn; ++i) {
-        if (vals[i] < a.lo || vals[i] > a.hi) keep[base + i] = 0;
-      }
-    }
-  }
-  std::vector<uint64_t> kept;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (keep[i] != 0) kept.push_back(rows[i]);
-  }
-  profile->Add("thematic.postfilter", t.ElapsedNanos(), rows.size(),
-               kept.size());
-  return kept;
-}
-
 /// One path for flat, live and sharded point clouds: select through the
 /// engine (or the router, over the pinned view), then render.
 Result<ResultSet> ExecutePointCloud(const PlannedQuery& plan) {
@@ -245,14 +213,25 @@ Result<ResultSet> ExecutePointCloud(const PlannedQuery& plan) {
   const PointCloudSource src(plan);
   std::vector<uint64_t> rows;
   if (plan.near) {
-    // The planner rejects NEAR on sharded tables.
+    // The planner rejects NEAR on sharded tables. The statement's box
+    // reaches the engine as x/y ranges (only the sides it bounds), which
+    // filter into the base mask with the thematic ranges.
+    std::vector<AttributeRange> ranges = plan.thematic;
+    if (plan.has_geometry) {
+      const Box& box = plan.geometry.box();
+      if (box.min_x > -kInf || box.max_x < kInf) {
+        ranges.push_back({"x", box.min_x, box.max_x});
+      }
+      if (box.min_y > -kInf || box.max_y < kInf) {
+        ranges.push_back({"y", box.min_y, box.max_y});
+      }
+    }
     GEOCOL_ASSIGN_OR_RETURN(
         NearLayerResult near,
         PointsNearLayerClass(plan.engine, plan.near_layer.get(),
-                             plan.near_class, plan.near_distance));
+                             plan.near_class, plan.near_distance, ranges));
     rs.profile = std::move(near.profile);
-    GEOCOL_ASSIGN_OR_RETURN(
-        rows, NearPostFilter(plan, src, std::move(near.row_ids), &rs.profile));
+    rows = std::move(near.row_ids);
   } else {
     GEOCOL_ASSIGN_OR_RETURN(
         SelectionResult sel,

@@ -170,8 +170,8 @@ Result<PlannedQuery> PlanQuery(Catalog* catalog, SelectStmt stmt) {
     }
   }
 
-  // NEAR selects through per-feature engine calls; on top of it only a
-  // box can apply, as a post-filter of the joined rows.
+  // NEAR refines against the layer's features; on top of it only a box
+  // can apply, as x/y ranges of the join's base mask.
   if (pq.near && pq.has_geometry &&
       !(pq.geometry.is_box() && pq.buffer == 0.0)) {
     return Status::Unsupported(
@@ -243,10 +243,17 @@ std::string PlannedQuery::Describe() const {
   if (near) {
     s += "  join: NEAR layer '" + near_layer->name() + "' class " +
          std::to_string(near_class) + " within " +
-         std::to_string(near_distance) + " (per-feature two-step + union)\n";
-    if (has_geometry) {
-      s += "  post-filter: x/y inside " + ToWkt(geometry) + "\n";
+         std::to_string(near_distance) + " (one row bitmap)\n";
+    if (has_geometry || !thematic.empty()) {
+      s += "  step 1: imprint filter on the box and thematic ranges into a "
+           "base mask\n";
     }
+    if (has_geometry) {
+      s += "  box: x/y inside " + ToWkt(geometry) + "\n";
+    }
+    s += "  step 2: per feature, imprint filter on x/y over its buffered "
+         "envelope, AND the base mask, AND NOT the rows already selected, "
+         "then grid refinement into the selection bitmap\n";
   } else if (has_geometry) {
     s += "  step 1: imprint filter on x/y over envelope of " +
          ToWkt(geometry) + (buffer > 0 ? " buffered " + std::to_string(buffer)

@@ -40,7 +40,7 @@ struct PlannedQuery {
   // writes no geometry, or an unbuffered box, `geometry` is the query box,
   // with the x/y ranges folded in and any side the statement leaves open
   // taken from the table extent. A NEAR plan carries a box only when the
-  // statement bounds x/y, and applies it as a post-filter.
+  // statement bounds x/y; the join filters it as x/y ranges.
   bool has_geometry = false;
   Geometry geometry;
   double buffer = 0.0;

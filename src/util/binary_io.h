@@ -195,7 +195,7 @@ class BufferReader {
                                 " bytes, " + std::to_string(remaining()) +
                                 " remain");
     }
-    std::memcpy(out, data_ + pos_, n);
+    if (n > 0) std::memcpy(out, data_ + pos_, n);  // `out` may be null
     pos_ += n;
     return Status::OK();
   }

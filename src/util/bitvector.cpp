@@ -85,6 +85,11 @@ void BitVector::Or(const BitVector& other) {
   for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
 }
 
+void BitVector::AndNot(const BitVector& other) {
+  assert(size_ == other.size_);
+  for (size_t i = 0; i < words_.size(); ++i) words_[i] &= ~other.words_[i];
+}
+
 void BitVector::Not() {
   for (auto& w : words_) w = ~w;
   MaskTail();

@@ -49,6 +49,8 @@ class BitVector {
   /// In-place logical ops; both operands must have equal size.
   void And(const BitVector& other);
   void Or(const BitVector& other);
+  /// Clears every bit set in `other` (this &= ~other).
+  void AndNot(const BitVector& other);
   void Not();
 
   bool operator==(const BitVector& other) const {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -39,6 +41,42 @@ TEST(ImprintScanTest, MatchesFullScanOracle) {
     FullScanRangeSelect(*col, lo, hi, &via_scan);
     EXPECT_TRUE(via_imprints == via_scan) << "range [" << lo << "," << hi << "]";
   }
+}
+
+// NaN files into imprint bin 0. A range open at the bottom covers bin 0,
+// but a NaN never satisfies a range, so bin-0 lines of a floating-point
+// column must be value-checked rather than accepted whole; an integer
+// column keeps bin 0 inner.
+TEST(ImprintScanTest, OpenLowRangeNeverSelectsNaN) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(66);
+  std::vector<double> vals(20000);
+  for (auto& v : vals) {
+    v = rng.NextBool(0.3) ? std::nan("") : rng.NextGaussian();
+  }
+  ColumnPtr col = Column::FromVector<double>("c", vals);
+  auto ix = ImprintsIndex::Build(*col);
+  ASSERT_TRUE(ix.ok());
+  ThreadPool pool(2);
+  for (double hi : {-1.0, 0.0, 2.0, kInf}) {
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      BitVector via_imprints, via_scan;
+      ASSERT_TRUE(
+          ImprintRangeSelect(*col, *ix, -kInf, hi, &via_imprints, nullptr, p)
+              .ok());
+      ASSERT_TRUE(FullScanRangeSelect(*col, -kInf, hi, &via_scan).ok());
+      EXPECT_TRUE(via_imprints == via_scan) << "hi=" << hi;
+      for (size_t i = 0; i < vals.size(); ++i) {
+        if (std::isnan(vals[i])) {
+          ASSERT_FALSE(via_imprints.Get(i)) << i;
+        }
+      }
+    }
+  }
+  auto walk = ImprintsIndex::Build(*MakeWalkColumn(5000, 67));
+  ASSERT_TRUE(walk.ok());
+  EXPECT_EQ(walk->MaskForRange(-kInf, 0.0, true).inner & 1u, 0u);
+  EXPECT_EQ(walk->MaskForRange(-kInf, 0.0, false).inner & 1u, 1u);
 }
 
 TEST(ImprintScanTest, EmptyRange) {

@@ -571,6 +571,20 @@ std::string SingleThreadedSpanShape(const std::string& query) {
   EngineOptions eopts;
   eopts.num_threads = 1;
   EXPECT_TRUE(catalog.AddPointCloud("ahn2", *table, eopts).ok());
+  // Two overlapping transit features and a park, for NEAR.
+  const Box boxes[3] = {Box(85010, 444040, 85090, 444050),
+                        Box(85040, 444010, 85050, 444090),
+                        Box(85070, 444070, 85090, 444090)};
+  std::vector<VectorFeature> fs(3);
+  for (size_t i = 0; i < fs.size(); ++i) {
+    fs[i].geometry = Geometry(Polygon::FromBox(boxes[i]));
+    fs[i].id = i + 1;
+    fs[i].feature_class = static_cast<uint32_t>(
+        i < 2 ? UrbanAtlasClass::kFastTransitRoads
+              : UrbanAtlasClass::kGreenUrbanAreas);
+  }
+  EXPECT_TRUE(
+      catalog.AddLayer(VectorLayer::FromFeatures("ua", std::move(fs))).ok());
   Session session(&catalog);
 
   auto rs = session.Execute("EXPLAIN ANALYZE " + query);
@@ -622,6 +636,39 @@ TEST(SqlExplainAnalyzeGoldenTest, XyBetweenPlansAsTheBox) {
                                     "BETWEEN 85010 AND 85060 AND y BETWEEN "
                                     "444010 AND 444060"),
             kBoxShape);
+}
+
+// NEAR is one engine operation: the ranges filter once into a base mask,
+// then each transit feature filters x/y over its buffered envelope, masks
+// by the base and the rows already selected, and refines; the selection
+// bitmap yields the union.
+TEST(SqlExplainAnalyzeGoldenTest, NearIsOneBitmapJoin) {
+  EXPECT_EQ(SingleThreadedSpanShape("SELECT COUNT(*) FROM ahn2 WHERE "
+                                    "NEAR(ua, 12210, 4) AND intensity >= 50 "
+                                    "AND x <= 85080"),
+            "  layer.class_select\n"
+            "  near\n"
+            "    filter\n"
+            "      filter.imprints.intensity\n"
+            "      filter.imprints.x\n"
+            "      filter.intersect.x\n"
+            "    near.feature\n"
+            "      filter\n"
+            "        filter.imprints.x\n"
+            "        filter.imprints.y\n"
+            "        filter.intersect\n"
+            "        filter.mask\n"
+            "      refine.grid\n"
+            "    near.feature\n"
+            "      filter\n"
+            "        filter.imprints.x\n"
+            "        filter.imprints.y\n"
+            "        filter.intersect\n"
+            "        filter.mask\n"
+            "      refine.grid\n"
+            "    near.union\n"
+            "  TOTAL (sum)\n"
+            "  WALL (critical path)\n");
 }
 
 }  // namespace

@@ -157,6 +157,11 @@ TEST(BitVectorTest, AndOrNot) {
   BitVector a_or = a;
   a_or.Or(b);
   EXPECT_EQ(a_or.Count(), 75u);
+  BitVector a_not_b = a;
+  a_not_b.AndNot(b);
+  EXPECT_EQ(a_not_b.Count(), 25u);
+  EXPECT_TRUE(a_not_b.Get(24));
+  EXPECT_FALSE(a_not_b.Get(25));
   BitVector n = a;
   n.Not();
   EXPECT_EQ(n.Count(), 50u);

@@ -780,10 +780,12 @@ int CmdCache(const Args& args) {
     Timer t;
     auto rs = session.Execute(args.positional[1]);
     if (!rs.ok()) return Fail(rs.status());
-    // A tier (a) hit shows up as the profile collapsing to one
-    // cache.hit span.
+    // A tier (a) hit shows up as the profile collapsing to one root
+    // cache.hit span (after layer.class_select for NEAR).
     const auto& ops = session.last_profile().operators();
-    bool hit = !ops.empty() && ops[0].name == "cache.hit";
+    bool hit = std::any_of(ops.begin(), ops.end(), [](const auto& op) {
+      return op.parent < 0 && op.name == "cache.hit";
+    });
     std::printf("run %llu: %8.3f ms  %llu row(s)%s\n",
                 static_cast<unsigned long long>(i + 1), t.ElapsedMillis(),
                 static_cast<unsigned long long>(rs->rows.size()),
