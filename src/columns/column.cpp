@@ -1,6 +1,9 @@
 #include "columns/column.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <cstdlib>
 
 #include "simd/kernels.h"
 #include "util/crc32c.h"
@@ -21,6 +24,62 @@ const char* DataTypeName(DataType t) {
     case DataType::kFloat64: return "float64";
   }
   return "unknown";
+}
+
+namespace {
+
+constexpr size_t kHugePageBytes = size_t{2} << 20;
+
+size_t RoundUpToHugePage(size_t bytes) {
+  return (bytes + kHugePageBytes - 1) & ~(kHugePageBytes - 1);
+}
+
+}  // namespace
+
+void* AllocateColumnBuffer(size_t bytes) {
+  if (bytes < kHugeColumnBufferBytes) return ::operator new(bytes);
+  const size_t rounded = RoundUpToHugePage(bytes);
+  void* p = std::aligned_alloc(kHugePageBytes, rounded);
+  if (p == nullptr) throw std::bad_alloc();
+#if defined(MADV_HUGEPAGE)
+  // Advice only: where THP is off (or the range cannot take it) the
+  // buffer simply stays on small pages.
+  (void)::madvise(p, rounded, MADV_HUGEPAGE);
+#endif
+  return p;
+}
+
+void FreeColumnBuffer(void* p, size_t bytes) noexcept {
+  if (bytes < kHugeColumnBufferBytes) {
+    ::operator delete(p);
+  } else {
+    std::free(p);
+  }
+}
+
+Status Column::AppendInPlace(
+    size_t count,
+    const std::function<Status(uint8_t*, std::optional<uint32_t>*)>& fill) {
+  assert(!paged());
+  const size_t old_bytes = data_.size();
+  const size_t tail_bytes = count * width_;
+  data_.resize(old_bytes + tail_bytes);
+  std::optional<uint32_t> tail_crc;
+  Status st = fill(data_.data() + old_bytes, &tail_crc);
+  if (!st.ok()) {
+    data_.resize(old_bytes);
+    return st;
+  }
+  const bool prefix_known = old_bytes == 0 || payload_crc_known_;
+  const uint32_t prefix_crc = old_bytes == 0 ? 0 : payload_crc_;
+  Invalidate();
+  if (prefix_known && tail_crc.has_value()) {
+    payload_crc_ = old_bytes == 0
+                       ? *tail_crc
+                       : Crc32cCombine(prefix_crc, *tail_crc, tail_bytes);
+    payload_crc_known_ = true;
+  }
+  return st;
 }
 
 Result<ColumnChunkPin> Column::PinChunk(size_t chunk_index) const {
@@ -92,6 +151,7 @@ void Column::SetCachedStats(double min, double max) {
 }
 
 uint32_t Column::payload_crc32c() const {
+  if (payload_crc_known_) return payload_crc_;
   return Crc32c(data_.data(), data_.size());
 }
 

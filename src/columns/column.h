@@ -15,8 +15,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <new>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -46,6 +49,47 @@ struct ColumnChunkPin {
   template <typename T>
   const T* values() const {
     return reinterpret_cast<const T*>(data);
+  }
+};
+
+/// Column buffers of at least this many bytes are 2 MiB-aligned and
+/// advised MADV_HUGEPAGE (see ColumnAllocator).
+constexpr size_t kHugeColumnBufferBytes = size_t{4} << 20;
+
+/// Raw storage behind ColumnAllocator. Buffers of kHugeColumnBufferBytes
+/// or more are 2 MiB-aligned and advised MADV_HUGEPAGE, so a 16 MB
+/// coordinate column faults in as 8 huge pages instead of 4096 small ones
+/// (the advice is a no-op where transparent huge pages are off); smaller
+/// ones come from operator new. `bytes` must match between the two calls.
+void* AllocateColumnBuffer(size_t bytes);
+void FreeColumnBuffer(void* p, size_t bytes) noexcept;
+
+/// The allocator of a column's byte vector. Unlike std::allocator it
+/// default-initialises on resize: the direct-read path (AppendInPlace)
+/// overwrites every new byte, and zeroing them first would page-fault the
+/// whole buffer one extra time.
+template <typename T>
+struct ColumnAllocator {
+  using value_type = T;
+  ColumnAllocator() = default;
+  template <typename U>
+  ColumnAllocator(const ColumnAllocator<U>&) noexcept {}
+  T* allocate(size_t n) {
+    return static_cast<T*>(AllocateColumnBuffer(n * sizeof(T)));
+  }
+  void deallocate(T* p, size_t n) noexcept {
+    FreeColumnBuffer(p, n * sizeof(T));
+  }
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+  friend bool operator==(const ColumnAllocator&, const ColumnAllocator&) {
+    return true;
   }
 };
 
@@ -127,6 +171,18 @@ class Column {
     Invalidate();
   }
 
+  /// Direct-read append: grows the buffer by `count` values, leaves them
+  /// unzeroed and hands them to `fill(tail, &tail_crc)`, which must write
+  /// every byte. This is how column files and raw dumps land in memory: no
+  /// staging buffer, no copy. A `fill` that verified the bytes against
+  /// stored checksums sets `tail_crc` to their CRC32C; the column then
+  /// keeps its payload CRC (payload_crc32c() answers without a rescan)
+  /// until the next mutation. On error the column is left as it was.
+  Status AppendInPlace(
+      size_t count,
+      const std::function<Status(uint8_t* tail,
+                                 std::optional<uint32_t>* tail_crc)>& fill);
+
   void Reserve(size_t rows) { data_.reserve(rows * width_); }
   void Clear() {
     data_.clear();
@@ -178,10 +234,12 @@ class Column {
   /// new min/max from base stats + batch extremes. Marks the cache valid.
   void SetCachedStats(double min, double max);
 
-  /// CRC32C of the full little-endian value payload. Resident columns
-  /// checksum their buffer; the paged tier answers from per-chunk CRCs
-  /// already on disk (Crc32cCombine) without faulting anything, so imprint
-  /// sidecar fingerprints agree between the two tiers.
+  /// CRC32C of the full little-endian value payload. A resident column
+  /// read from a verified file answers from the chunk CRCs it verified;
+  /// any other resident column checksums its buffer. The paged tier
+  /// answers from per-chunk CRCs already on disk (Crc32cCombine) without
+  /// faulting anything, so imprint sidecar fingerprints agree between the
+  /// two tiers.
   virtual uint32_t payload_crc32c() const;
 
   /// Resident tier only (nullptr when paged).
@@ -218,21 +276,26 @@ class Column {
   }
 
  protected:
-  /// Paged subclass: pins the load epoch so imprint sidecars built against
-  /// either open mode of the same file validate interchangeably.
+  /// Paged subclass: pins the load epoch so both open modes of one file
+  /// report the same column epochs.
   void set_epoch(uint64_t epoch) { epoch_ = epoch; }
 
  private:
   void Invalidate() {
     ++epoch_;
     stats_.valid = false;
+    payload_crc_known_ = false;
   }
 
   std::string name_;
   DataType type_;
   size_t width_;
-  std::vector<uint8_t> data_;
+  std::vector<uint8_t, ColumnAllocator<uint8_t>> data_;
   uint64_t epoch_ = 0;
+  /// CRC32C of data_, valid while payload_crc_known_ (set only by a
+  /// verified AppendInPlace, cleared by every mutation).
+  uint32_t payload_crc_ = 0;
+  bool payload_crc_known_ = false;
   /// Lineage for incremental index maintenance (set by CloneAppend).
   std::weak_ptr<const Column> base_;
   uint64_t base_rows_ = 0;

@@ -1,6 +1,7 @@
 #include "columns/column_file.h"
 
 #include <cstring>
+#include <optional>
 
 #include "telemetry/metrics.h"
 #include "util/binary_io.h"
@@ -35,7 +36,7 @@ struct ColumnFileHeader {
   uint64_t count = 0;
   uint32_t chunk_bytes = 0;       ///< 0 in legacy files
   std::vector<uint32_t> chunk_crcs;
-  bool legacy = false;
+  bool legacy = false;            ///< GCL1 or a raw dump: no chunk CRCs
 };
 
 Result<ColumnFileHeader> ReadColumnFileHeader(BinaryReader* r,
@@ -86,22 +87,34 @@ Result<ColumnFileHeader> ReadColumnFileHeader(BinaryReader* r,
   return h;
 }
 
-/// Reads (and, for v2, chunk-verifies) the payload into `out`; the exact
-/// file-size check also rejects truncated and padded files.
-Status ReadColumnPayload(BinaryReader* r, const ColumnFileHeader& h,
-                         const std::string& path, bool verify, uint8_t* out) {
-  uint64_t payload = h.count * DataTypeSize(h.type);
-  if (r->Remaining() != payload) {
+/// The exact file-size check: rejects truncated and padded files (and a
+/// forged row count) before anything is sized from the header.
+Status CheckPayloadSize(const BinaryReader& r, const ColumnFileHeader& h,
+                        const std::string& path) {
+  const uint64_t payload = h.count * DataTypeSize(h.type);
+  if (r.Remaining() != payload) {
     return Status::Corruption("column file size mismatch (payload " +
-                              std::to_string(r->Remaining()) + " bytes, " +
+                              std::to_string(r.Remaining()) + " bytes, " +
                               std::to_string(payload) + " expected): " + path);
   }
+  return Status::OK();
+}
+
+/// Reads (and, for v2, chunk-verifies) the payload into `out`. A verified
+/// read also reports the whole-payload CRC, folded from the chunk CRCs
+/// it checked.
+Status ReadColumnPayload(BinaryReader* r, const ColumnFileHeader& h,
+                         const std::string& path, bool verify, uint8_t* out,
+                         std::optional<uint32_t>* payload_crc) {
+  const uint64_t payload = h.count * DataTypeSize(h.type);
   if (h.legacy || !verify) {
     return r->ReadBytes(out, payload);
   }
   // Verify chunk by chunk, while the freshly read bytes are hot in cache.
   GEOCOL_METRIC_COUNTER(c_verifies, "geocol_crc_chunk_verifies_total");
   GEOCOL_METRIC_COUNTER(c_failures, "geocol_crc_failures_total");
+  const Crc32cCombineOp op = Crc32cCombineOpFor(h.chunk_bytes);
+  uint32_t folded = 0;
   for (uint64_t c = 0; c < h.chunk_crcs.size(); ++c) {
     uint64_t off = c * h.chunk_bytes;
     uint64_t len = std::min<uint64_t>(h.chunk_bytes, payload - off);
@@ -115,8 +128,23 @@ Status ReadColumnPayload(BinaryReader* r, const ColumnFileHeader& h,
                                 CrcHex(h.chunk_crcs[c]) + ", computed " +
                                 CrcHex(crc) + "): " + path);
     }
+    folded = len == h.chunk_bytes ? Crc32cCombineWithOp(op, folded, crc)
+                                  : Crc32cCombine(folded, crc, len);
   }
+  *payload_crc = folded;
   return Status::OK();
+}
+
+/// The one payload reader: size-checks, then reads the payload straight
+/// into `column`'s tail. Column files, AppendColumnFile and raw dumps all
+/// come through here.
+Status AppendPayload(BinaryReader* r, const ColumnFileHeader& h,
+                     const std::string& path, bool verify, Column* column) {
+  GEOCOL_RETURN_NOT_OK(CheckPayloadSize(*r, h, path));
+  return column->AppendInPlace(
+      h.count, [&](uint8_t* tail, std::optional<uint32_t>* tail_crc) {
+        return ReadColumnPayload(r, h, path, verify, tail, tail_crc);
+      });
 }
 
 }  // namespace
@@ -169,11 +197,8 @@ Result<ColumnPtr> ReadColumnFile(const std::string& path,
   GEOCOL_RETURN_NOT_OK(r.Open(path));
   GEOCOL_ASSIGN_OR_RETURN(ColumnFileHeader h, ReadColumnFileHeader(&r, path));
   auto col = std::make_shared<Column>(name, h.type);
-  col->Reserve(h.count);
-  std::vector<uint8_t> buf(h.count * DataTypeSize(h.type));
   GEOCOL_RETURN_NOT_OK(
-      ReadColumnPayload(&r, h, path, verify_checksums, buf.data()));
-  col->AppendRaw(buf.data(), h.count);
+      AppendPayload(&r, h, path, verify_checksums, col.get()));
   return col;
 }
 
@@ -186,12 +211,7 @@ Result<ColumnFileLayout> ReadColumnFileLayout(const std::string& path) {
         "legacy GCL1 file has no chunk checksums and cannot be opened "
         "paged: " + path);
   }
-  uint64_t payload = h.count * DataTypeSize(h.type);
-  if (r.Remaining() != payload) {
-    return Status::Corruption("column file size mismatch (payload " +
-                              std::to_string(r.Remaining()) + " bytes, " +
-                              std::to_string(payload) + " expected): " + path);
-  }
+  GEOCOL_RETURN_NOT_OK(CheckPayloadSize(r, h, path));
   ColumnFileLayout layout;
   layout.type = h.type;
   layout.count = h.count;
@@ -208,11 +228,7 @@ Status AppendColumnFile(const std::string& path, Column* column) {
   if (h.type != column->type()) {
     return Status::InvalidArgument("type mismatch appending " + path);
   }
-  std::vector<uint8_t> buf(h.count * DataTypeSize(h.type));
-  GEOCOL_RETURN_NOT_OK(
-      ReadColumnPayload(&r, h, path, /*verify=*/true, buf.data()));
-  column->AppendRaw(buf.data(), h.count);
-  return Status::OK();
+  return AppendPayload(&r, h, path, /*verify=*/true, column);
 }
 
 Status WriteRawDump(const Column& column, const std::string& path) {
@@ -225,16 +241,19 @@ Status WriteRawDump(const Column& column, const std::string& path) {
 }
 
 Status AppendRawDump(const std::string& path, Column* column) {
-  GEOCOL_ASSIGN_OR_RETURN(uint64_t size, FileSizeBytes(path));
-  size_t width = column->width();
-  if (size % width != 0) {
+  BinaryReader r;
+  GEOCOL_RETURN_NOT_OK(r.Open(path));
+  const size_t width = column->width();
+  if (r.Remaining() % width != 0) {
     return Status::Corruption("raw dump size not a multiple of value width: " +
                               path);
   }
-  std::vector<uint8_t> buf;
-  GEOCOL_RETURN_NOT_OK(ReadFileBytes(path, &buf));
-  column->AppendRaw(buf.data(), buf.size() / width);
-  return Status::OK();
+  // A raw dump is a headerless, checksum-less payload: read it as one.
+  ColumnFileHeader h;
+  h.type = column->type();
+  h.count = r.Remaining() / width;
+  h.legacy = true;
+  return AppendPayload(&r, h, path, /*verify=*/false, column);
 }
 
 Status WriteTableManifest(const std::string& dir, const TableManifest& m) {

@@ -33,7 +33,9 @@ Status WriteColumnFile(const Column& column, const std::string& path);
 
 /// Reads a column file written by WriteColumnFile (or a legacy "GCL1"
 /// file). The column name is not stored in the file; callers supply it (it
-/// is the file's role in the table manifest). `verify_checksums` exists so
+/// is the file's role in the table manifest). The file size is checked
+/// against the header before the column is sized, and the payload is read
+/// straight into the column's buffer. `verify_checksums` exists so
 /// benchmarks can measure the verification overhead; corruption checks
 /// that need no extra pass (sizes, magic, types) always run.
 Result<ColumnPtr> ReadColumnFile(const std::string& path,

@@ -19,9 +19,9 @@
 //
 // Paged columns are read-only: every mutation path (appends, shuffles,
 // rewrites) returns InvalidArgument upstream. They pin epoch 1 — the
-// epoch a resident single-AppendRaw load lands on — so imprint sidecars
-// built against either open mode of the same file validate
-// interchangeably.
+// epoch a resident read of the same file lands on — so both open modes
+// report the same column epochs. Imprint sidecars do not depend on it:
+// they match on the payload fingerprint (core/imprints_io.h).
 #ifndef GEOCOL_COLUMNS_PAGED_COLUMN_H_
 #define GEOCOL_COLUMNS_PAGED_COLUMN_H_
 

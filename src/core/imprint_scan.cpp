@@ -277,7 +277,8 @@ Result<std::shared_ptr<const ImprintsIndex>> ImprintManager::GetOrBuild(
 
   c_misses.Increment();
   const auto build_start = std::chrono::steady_clock::now();
-  Result<ImprintsIndex> built = BuildIndex(column, base_index);
+  bool adopted = false;
+  Result<ImprintsIndex> built = BuildIndex(column, base_index, &adopted);
 
   std::lock_guard<std::mutex> lock(mu_);
   Entry& e = cache_[column.get()];
@@ -285,10 +286,13 @@ Result<std::shared_ptr<const ImprintsIndex>> ImprintManager::GetOrBuild(
   e.column = column;
   build_cv_.notify_all();
   GEOCOL_RETURN_NOT_OK(built.status());
-  c_builds.Increment();
-  h_build.Observe(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - build_start)
-                      .count());
+  // Sidecar adoptions count in geocol_imprint_sidecar_loads_total only.
+  if (!adopted) {
+    c_builds.Increment();
+    h_build.Observe(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - build_start)
+                        .count());
+  }
   auto index = std::make_shared<const ImprintsIndex>(std::move(*built));
   e.index = index;
   return index;
@@ -296,10 +300,10 @@ Result<std::shared_ptr<const ImprintsIndex>> ImprintManager::GetOrBuild(
 
 Result<ImprintsIndex> ImprintManager::BuildIndex(
     const ColumnPtr& column,
-    const std::shared_ptr<const ImprintsIndex>& base_index) {
+    const std::shared_ptr<const ImprintsIndex>& base_index, bool* adopted) {
   const std::string sidecar =
       sidecar_dir_.empty() ? ""
-                           : sidecar_dir_ + "/" + column->name() + ".gim";
+                           : ImprintsSidecarPath(sidecar_dir_, column->name());
   if (base_index != nullptr && column->size() > base_index->num_rows()) {
     GEOCOL_METRIC_COUNTER(c_incr, "geocol_imprint_incremental_builds_total");
     GEOCOL_METRIC_COUNTER(c_fallback, "geocol_imprint_stitch_fallbacks_total");
@@ -367,7 +371,8 @@ Result<ImprintsIndex> ImprintManager::BuildIndex(
   // transparently quarantines + rebuilds when corrupt or stale.
   return sidecar.empty()
              ? ImprintsIndex::Build(*column, options_, pool_)
-             : LoadOrBuildImprints(*column, sidecar, options_, pool_);
+             : LoadOrBuildImprints(*column, sidecar, options_, pool_,
+                                   adopted);
 }
 
 void ImprintManager::PruneLocked() {

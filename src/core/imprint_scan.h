@@ -139,10 +139,11 @@ class ImprintManager {
 
   /// Builds (or loads) the index for `column` without holding mu_.
   /// `base_index` is the cached fresh index of the column's lineage base
-  /// (null when unavailable) — triggers the incremental path.
+  /// (null when unavailable) — triggers the incremental path. `*adopted`
+  /// is set when a fresh sidecar was loaded instead of building.
   Result<ImprintsIndex> BuildIndex(
       const ColumnPtr& column,
-      const std::shared_ptr<const ImprintsIndex>& base_index);
+      const std::shared_ptr<const ImprintsIndex>& base_index, bool* adopted);
 
   /// Drops entries whose column died (COW retirement); caller holds mu_.
   void PruneLocked();

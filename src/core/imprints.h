@@ -106,6 +106,10 @@ class ImprintsIndex {
   /// means the index is stale (column was appended to).
   uint64_t built_epoch() const { return built_epoch_; }
 
+  /// Rebinds a sidecar-loaded index to the live column it was verified
+  /// against (imprints_io.h: identity is fingerprint + rows, not epoch).
+  void set_built_epoch(uint64_t epoch) { built_epoch_ = epoch; }
+
   /// Builds the query/inner masks for the inclusive range [lo, hi].
   /// `nan_possible` marks a floating-point column: the builder files NaN
   /// in bin 0, so bin 0 is then never inner and its lines are value-checked

@@ -61,6 +61,31 @@ uint32_t ColumnFingerprint(const Column& column) {
   return Crc32cCombine(crc, column.payload_crc32c(), column.raw_size_bytes());
 }
 
+std::string ImprintsSidecarPath(const std::string& dir,
+                                const std::string& column_name) {
+  return dir + "/" + column_name + ".gim";
+}
+
+bool SidecarFresh(const ImprintsFileMeta& meta, const ImprintsIndex& index,
+                  uint32_t column_fingerprint, uint64_t column_rows) {
+  return meta.has_fingerprint &&
+         meta.column_fingerprint == column_fingerprint &&
+         index.num_rows() == column_rows;
+}
+
+Status WriteImprintsSidecars(const FlatTable& table,
+                             const std::vector<std::string>& columns,
+                             const std::string& dir, ThreadPool* pool) {
+  for (const std::string& name : columns) {
+    GEOCOL_ASSIGN_OR_RETURN(ColumnPtr column, table.GetColumn(name));
+    GEOCOL_ASSIGN_OR_RETURN(ImprintsIndex index,
+                            ImprintsIndex::Build(*column, {}, pool));
+    GEOCOL_RETURN_NOT_OK(WriteImprintsFile(
+        index, ImprintsSidecarPath(dir, name), ColumnFingerprint(*column)));
+  }
+  return Status::OK();
+}
+
 Status WriteImprintsFile(const ImprintsIndex& index, const std::string& path,
                          uint32_t column_fingerprint) {
   BufferWriter w;
@@ -127,11 +152,12 @@ Result<ImprintsIndex> ReadImprintsFile(const std::string& path,
 Result<ImprintsIndex> LoadOrBuildImprints(const Column& column,
                                           const std::string& path,
                                           const ImprintsOptions& options,
-                                          ThreadPool* pool) {
-  // One CRC pass over the column payload per sidecar adoption (cached by
-  // ImprintManager afterwards) — without it, a sidecar keyed only by
-  // column name could be adopted by a same-named, same-sized column of a
-  // different table and silently mis-prune scans.
+                                          ThreadPool* pool, bool* adopted) {
+  if (adopted != nullptr) *adopted = false;
+  // Without the fingerprint a sidecar keyed only by column name could be
+  // adopted by a same-named, same-sized column of a different table and
+  // silently mis-prune scans. Columns read from verified files and paged
+  // columns answer it from their chunk CRCs; others pay one CRC pass.
   const uint32_t fingerprint = ColumnFingerprint(column);
   GEOCOL_METRIC_COUNTER(c_loads, "geocol_imprint_sidecar_loads_total");
   GEOCOL_METRIC_COUNTER(c_quarantines, "geocol_imprint_sidecar_quarantines_total");
@@ -140,11 +166,11 @@ Result<ImprintsIndex> LoadOrBuildImprints(const Column& column,
   if (PathExists(path)) {
     ImprintsFileMeta meta;
     Result<ImprintsIndex> loaded = ReadImprintsFile(path, &meta);
-    if (loaded.ok() && meta.has_fingerprint &&
-        meta.column_fingerprint == fingerprint &&
-        loaded->built_epoch() == column.epoch() &&
-        loaded->num_rows() == column.size()) {
+    if (loaded.ok() &&
+        SidecarFresh(meta, *loaded, fingerprint, column.size())) {
       c_loads.Increment();
+      loaded->set_built_epoch(column.epoch());
+      if (adopted != nullptr) *adopted = true;
       return loaded;
     }
     if (!loaded.ok()) {
@@ -172,8 +198,6 @@ Result<ImprintsIndex> LoadOrBuildImprints(const Column& column,
                         ? std::to_string(meta.column_fingerprint)
                         : std::string("none"))
               .With("column_fingerprint", fingerprint)
-              .With("sidecar_epoch", loaded->built_epoch())
-              .With("column_epoch", column.epoch())
               .With("sidecar_rows", loaded->num_rows())
               .With("column_rows", column.size())
           << "imprints sidecar is stale; rebuilding";

@@ -1,6 +1,49 @@
 #include "gis/catalog.h"
 
+#include "columns/compression.h"
+#include "columns/paged_column.h"
+#include "util/binary_io.h"
+#include "util/tempdir.h"
+
 namespace geocol {
+
+bool IsCompressedTableDir(const std::string& dir, const TableManifest& m) {
+  if (!m.columns.empty() && !m.columns[0].filename.empty()) {
+    const std::string& f = m.columns[0].filename;
+    return f.size() >= 4 && f.compare(f.size() - 4, 4, ".gcz") == 0;
+  }
+  std::vector<std::string> gcz;
+  Status st = ListFiles(dir, ".gcz", &gcz);
+  return st.ok() && !gcz.empty();
+}
+
+Result<FlatTable> OpenTableDir(const std::string& dir, bool paged) {
+  if (!PathExists(dir + "/schema.gct")) {
+    return Status::NotFound("no table manifest under " + dir);
+  }
+  if (paged) return ReadTableDirPaged(dir);
+  GEOCOL_ASSIGN_OR_RETURN(TableManifest m, ReadTableManifest(dir));
+  return IsCompressedTableDir(dir, m) ? ReadCompressedTableDir(dir)
+                                      : ReadTableDir(dir);
+}
+
+Status Catalog::AddPointCloudDir(const std::string& dir, bool paged) {
+  if (IsShardedTableDir(dir)) {
+    // Each LocalShard keeps its sidecars in its own shard directory.
+    GEOCOL_ASSIGN_OR_RETURN(
+        auto sharded,
+        ReadShardedTableDir(dir, /*verify_checksums=*/true, paged));
+    const std::string name =
+        sharded->name().empty() ? "ahn2" : sharded->name();
+    return AddShardedPointCloud(name, std::move(sharded));
+  }
+  GEOCOL_ASSIGN_OR_RETURN(FlatTable table, OpenTableDir(dir, paged));
+  const std::string name = table.name().empty() ? "ahn2" : table.name();
+  EngineOptions options;
+  options.imprints_dir = dir;
+  return AddPointCloud(name, std::make_shared<FlatTable>(std::move(table)),
+                       options);
+}
 
 Status Catalog::AddPointCloud(const std::string& name,
                               std::shared_ptr<FlatTable> table,

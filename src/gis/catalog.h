@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "columns/column_file.h"
 #include "core/live_table.h"
 #include "core/shard_router.h"
 #include "core/spatial_engine.h"
@@ -17,9 +18,28 @@
 
 namespace geocol {
 
+/// Whether the flat table under `dir` holds compressed (.gcz) columns.
+/// Modern manifests record each column's file name; legacy ones fall back
+/// to a directory listing.
+bool IsCompressedTableDir(const std::string& dir, const TableManifest& m);
+
+/// Opens the flat table persisted under `dir` in whichever layout it was
+/// written: raw or compressed columns resident, or with `paged` from
+/// disk on demand.
+Result<FlatTable> OpenTableDir(const std::string& dir, bool paged = false);
+
 /// Named dataset registry.
 class Catalog {
  public:
+  /// Opens the point cloud persisted under `dir` (a flat table in any
+  /// layout, or a Hilbert-sharded one) and registers it under its table
+  /// name, "ahn2" when it has none. Imprint sidecars are read from and
+  /// written to the directory that holds the columns: `<dir>` for a flat
+  /// table, each shard's own directory for a sharded one. So a process
+  /// opening a loaded table adopts the x/y sidecars `geocol load` wrote
+  /// instead of rebuilding them.
+  Status AddPointCloudDir(const std::string& dir, bool paged = false);
+
   /// Registers a point cloud table; a SpatialQueryEngine is created over
   /// it with `options`.
   Status AddPointCloud(const std::string& name,

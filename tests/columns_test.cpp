@@ -6,6 +6,7 @@
 #include "columns/csv.h"
 #include "columns/flat_table.h"
 #include "util/binary_io.h"
+#include "util/crc32c.h"
 #include "util/tempdir.h"
 
 namespace geocol {
@@ -222,6 +223,142 @@ TEST(ColumnFileTest, RawDumpMisalignedSizeRejected) {
   Column dst("i", DataType::kUInt16);
   EXPECT_EQ(AppendRawDump(tmp.File("odd.bin"), &dst).code(),
             StatusCode::kCorruption);
+}
+
+// ---------------- the direct-read open path ----------------
+
+ColumnPtr DoublesColumn(size_t rows) {
+  std::vector<double> v(rows);
+  for (size_t i = 0; i < rows; ++i) v[i] = static_cast<double>(i) * 1.5 - 7;
+  return Column::FromVector("c", v);
+}
+
+// Every way a column file can be damaged is a typed Corruption, from a
+// fresh read and from an append — and a failed append leaves the target
+// column exactly as it was.
+TEST(ColumnFileTest, DamagedFilesAreTypedCorruption) {
+  TempDir tmp;
+  const size_t rows = kColumnChunkBytes / sizeof(double) * 3 + 1234;
+  ASSERT_TRUE(WriteColumnFile(*DoublesColumn(rows), tmp.File("c.gcl")).ok());
+  std::vector<uint8_t> good;
+  ASSERT_TRUE(ReadFileBytes(tmp.File("c.gcl"), &good).ok());
+
+  struct Damage {
+    const char* what;
+    std::vector<uint8_t> bytes;
+  };
+  std::vector<Damage> damages;
+  auto add = [&](const char* what, auto&& edit) {
+    std::vector<uint8_t> b = good;
+    edit(&b);
+    damages.push_back({what, std::move(b)});
+  };
+  add("truncated by one byte", [](auto* b) { b->pop_back(); });
+  add("truncated by one chunk",
+      [](auto* b) { b->resize(b->size() - kColumnChunkBytes); });
+  add("truncated inside the chunk directory", [](auto* b) { b->resize(30); });
+  add("padded by one byte", [](auto* b) { b->push_back(0); });
+  add("padded by one value", [](auto* b) { b->insert(b->end(), 8, 0); });
+  add("flipped payload byte",
+      [](auto* b) { (*b)[b->size() - kColumnChunkBytes * 3 / 2] ^= 0x01; });
+  add("flipped header count byte", [](auto* b) { (*b)[5] ^= 0x01; });
+  add("header count off by one, header crc recomputed", [](auto* b) {
+    uint64_t count = 0;
+    std::memcpy(&count, b->data() + 5, 8);
+    ++count;
+    std::memcpy(b->data() + 5, &count, 8);
+    uint32_t crc = Crc32c(b->data(), 17);
+    std::memcpy(b->data() + 17, &crc, 4);
+  });
+
+  for (const Damage& d : damages) {
+    SCOPED_TRACE(d.what);
+    const std::string path = tmp.File("bad.gcl");
+    ASSERT_TRUE(WriteFileBytes(path, d.bytes.data(), d.bytes.size()).ok());
+    EXPECT_EQ(ReadColumnFile(path, "c").status().code(),
+              StatusCode::kCorruption);
+
+    auto dst = Column::FromVector<double>("c", {4.0, 2.0});
+    const uint64_t epoch = dst->epoch();
+    const uint32_t crc = dst->payload_crc32c();
+    EXPECT_EQ(AppendColumnFile(path, dst.get()).code(),
+              StatusCode::kCorruption);
+    EXPECT_EQ(dst->size(), 2u);
+    EXPECT_EQ(dst->epoch(), epoch);
+    EXPECT_EQ(dst->payload_crc32c(), crc);
+    EXPECT_EQ(dst->GetDouble(1), 2.0);
+  }
+}
+
+// A header claiming 2^40 float64 rows (8 TiB) over a 16-byte payload must
+// fail the size check. Were the column sized from the header first, the
+// allocation itself would throw (or abort under ASan) instead.
+TEST(ColumnFileTest, SizeIsCheckedBeforeTheColumnIsAllocated) {
+  TempDir tmp;
+  const uint8_t type = static_cast<uint8_t>(DataType::kFloat64);
+  const uint8_t payload[16] = {};
+
+  BufferWriter legacy;
+  legacy.WriteBytes("GCL1", 4);
+  legacy.WriteScalar<uint8_t>(type);
+  legacy.WriteScalar<uint64_t>(uint64_t{1} << 40);
+  legacy.WriteBytes(payload, sizeof(payload));
+
+  // The same claim in a v2 header with a valid header CRC: 2^37 rows in
+  // 1 GiB chunks, so the chunk directory (1024 CRCs) is present in full.
+  BufferWriter v2;
+  v2.WriteBytes("GCL2", 4);
+  v2.WriteScalar<uint8_t>(type);
+  v2.WriteScalar<uint64_t>(uint64_t{1} << 37);
+  v2.WriteScalar<uint32_t>(uint32_t{1} << 30);
+  v2.WriteScalar<uint32_t>(Crc32c(v2.buffer().data(), v2.size()));
+  for (int c = 0; c < 1024; ++c) v2.WriteScalar<uint32_t>(0);
+  v2.WriteBytes(payload, sizeof(payload));
+
+  for (const BufferWriter* file : {&legacy, &v2}) {
+    const std::string path = tmp.File("huge.gcl");
+    ASSERT_TRUE(
+        WriteFileBytes(path, file->buffer().data(), file->size()).ok());
+    EXPECT_EQ(ReadColumnFile(path, "c").status().code(),
+              StatusCode::kCorruption);
+    Column dst("c", DataType::kFloat64);
+    EXPECT_EQ(AppendColumnFile(path, &dst).code(), StatusCode::kCorruption);
+    EXPECT_EQ(dst.MemoryBytes(), 0u);
+  }
+}
+
+// Columns below and above the huge-page threshold read back byte for byte
+// at epoch 1, exactly sized, with the payload CRC folded from the chunk
+// CRCs; the first mutation drops that CRC and it is recomputed.
+TEST(ColumnFileTest, SmallAndHugeColumnsRoundTripAtEpochOne) {
+  TempDir tmp;
+  const size_t huge_rows = kHugeColumnBufferBytes / sizeof(double);
+  for (size_t rows : {size_t{3}, size_t{1000}, huge_rows - 1, huge_rows,
+                      huge_rows + 4097}) {
+    SCOPED_TRACE(rows);
+    ColumnPtr col = DoublesColumn(rows);
+    ASSERT_TRUE(WriteColumnFile(*col, tmp.File("c.gcl")).ok());
+    auto back = ReadColumnFile(tmp.File("c.gcl"), "c");
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    Column& got = **back;
+    ASSERT_EQ(got.size(), rows);
+    EXPECT_EQ(got.epoch(), 1u);
+    EXPECT_EQ(std::memcmp(got.raw_data(), col->raw_data(), rows * 8), 0);
+    EXPECT_EQ(got.MemoryBytes(), got.raw_size_bytes());
+    EXPECT_EQ(got.payload_crc32c(), Crc32c(col->raw_data(), rows * 8));
+    if (got.raw_size_bytes() >= kHugeColumnBufferBytes) {
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(got.raw_data()) % (2u << 20), 0u);
+    }
+
+    // Appending the file again keeps the CRC known and right.
+    ASSERT_TRUE(AppendColumnFile(tmp.File("c.gcl"), &got).ok());
+    ASSERT_EQ(got.size(), 2 * rows);
+    EXPECT_EQ(got.epoch(), 2u);
+    EXPECT_EQ(got.payload_crc32c(), Crc32c(got.raw_data(), 2 * rows * 8));
+
+    got.BeginRawUpdate()[0] ^= 0x01;
+    EXPECT_EQ(got.payload_crc32c(), Crc32c(got.raw_data(), 2 * rows * 8));
+  }
 }
 
 TEST(TableDirTest, RoundTrip) {

@@ -90,6 +90,37 @@ TEST_F(ToolTest, LoadPersistedQueryableTable) {
   EXPECT_NE(text.find("(1 rows)"), std::string::npos);
 }
 
+// `geocol load` leaves fresh x/y imprint sidecars, so the first query of a
+// new process adopts both instead of building them.
+TEST_F(ToolTest, LoadWritesSidecarsTheFirstQueryAdopts) {
+  const std::string table = tmp_->File("cold-table");
+  ASSERT_EQ(RunTool("load " + tmp_->File("tiles") + " " + table, nullptr,
+                    tmp_),
+            0);
+  std::string out;
+  ASSERT_EQ(RunTool("verify " + table, &out, tmp_), 0);
+  std::string text = Slurp(out);
+  for (const char* sidecar : {"x.gim", "y.gim"}) {
+    const size_t at = text.find(sidecar);
+    ASSERT_NE(at, std::string::npos) << text;
+    const std::string line = text.substr(at, text.find('\n', at) - at);
+    EXPECT_NE(line.find("fresh"), std::string::npos) << line;
+  }
+  ASSERT_EQ(RunTool("metrics " + table +
+                        " \"SELECT COUNT(*) FROM ahn2 WHERE x BETWEEN 85020 "
+                        "AND 85050 AND y BETWEEN 444020 AND 444050\" "
+                        "--format json --no-flight",
+                    &out, tmp_),
+            0);
+  text = Slurp(out);
+  EXPECT_NE(text.find("\"geocol_imprint_builds_total\": 0"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\"geocol_imprint_sidecar_loads_total\": 2"),
+            std::string::npos)
+      << text;
+}
+
 TEST_F(ToolTest, QueryWithLayersAndProfile) {
   std::string out;
   ASSERT_EQ(

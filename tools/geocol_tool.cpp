@@ -33,7 +33,9 @@
 // manifest are Hilbert-sharded tables (built by `geocol shard`); query/
 // metrics/trace/cache/verify detect them automatically. With
 // GEOCOL_METRICS=1, query/verify print a one-line telemetry summary on
-// exit.
+// exit. `load` also writes the x/y imprint sidecars (x.gim, y.gim) beside
+// the columns; every command that opens a table adopts them instead of
+// rebuilding, and writes the sidecars of other columns it filters.
 //
 // Every query-executing command appends one structured event per statement
 // to the workload flight recorder at <table_dir>/flight/flight.gfr
@@ -86,6 +88,7 @@
 #include "util/binary_io.h"
 #include "util/fd_cache.h"
 #include "util/tempdir.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 using namespace geocol;
@@ -316,6 +319,15 @@ int CmdLoad(const Args& args) {
     std::printf("persisted table to %s (%.1f MB)\n", table_dir.c_str(),
                 (*table)->DataBytes() / 1048576.0);
   }
+  // The x/y imprint sidecars, so the first serve or query adopts them
+  // instead of building. They are cache: failing to write them is a
+  // warning, and the table is already committed.
+  ThreadPool pool(0);
+  if (Status st = WriteImprintsSidecars(**table, {"x", "y"}, table_dir, &pool);
+      !st.ok()) {
+    std::fprintf(stderr, "warning: no imprint sidecars: %s\n",
+                 st.ToString().c_str());
+  }
   return 0;
 }
 
@@ -324,33 +336,11 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-/// Whether the table under `dir` holds compressed (.gcz) columns. Modern
-/// manifests record each column's file name; legacy ones fall back to a
-/// directory listing.
-bool IsCompressedTable(const std::string& dir, const TableManifest& m) {
-  if (!m.columns.empty() && !m.columns[0].filename.empty()) {
-    return EndsWith(m.columns[0].filename, ".gcz");
-  }
-  std::vector<std::string> gcz;
-  Status st = ListFiles(dir, ".gcz", &gcz);
-  return st.ok() && !gcz.empty();
-}
-
-Result<FlatTable> OpenTable(const std::string& dir, bool paged = false) {
-  if (!PathExists(dir + "/schema.gct")) {
-    return Status::NotFound("no table manifest under " + dir);
-  }
-  if (paged) return ReadTableDirPaged(dir);
-  GEOCOL_ASSIGN_OR_RETURN(TableManifest m, ReadTableManifest(dir));
-  return IsCompressedTable(dir, m) ? ReadCompressedTableDir(dir)
-                                   : ReadTableDir(dir);
-}
-
 /// `geocol shard <table_dir> <out_dir>`: re-layouts a persisted table into
 /// K Hilbert-ordered spatial shards under <out_dir> (DESIGN.md §12).
 int CmdShard(const Args& args) {
   if (args.positional.size() < 2) return Usage();
-  auto table = OpenTable(args.positional[0]);
+  auto table = OpenTableDir(args.positional[0]);
   if (!table.ok()) return Fail(table.status());
   ShardingOptions opts;
   opts.num_shards = static_cast<uint32_t>(args.U64("--shards", 16));
@@ -479,7 +469,7 @@ int VerifyOneTableDir(const std::string& dir, const std::string& prefix) {
                 manifest->columns.size());
   }
 
-  const bool compressed = IsCompressedTable(dir, *manifest);
+  const bool compressed = IsCompressedTableDir(dir, *manifest);
   // Column name -> loaded column, for sidecar freshness checks below.
   std::vector<ColumnPtr> columns;
   std::vector<std::string> referenced;
@@ -524,16 +514,14 @@ int VerifyOneTableDir(const std::string& dir, const std::string& prefix) {
                   index.status().ToString().c_str());
       continue;
     }
-    // Freshness: match the sidecar to its column by name, then require
-    // the payload fingerprint, epoch and row count to all agree.
+    // Freshness: match the sidecar to its column by name, then apply the
+    // rule a query engine applies before adopting it.
     std::string col_name = fname.substr(0, fname.size() - 4);
     const char* freshness = "no matching column";
     for (const auto& col : columns) {
       if (col->name() != col_name) continue;
-      freshness = meta.has_fingerprint &&
-                          meta.column_fingerprint == ColumnFingerprint(*col) &&
-                          index->built_epoch() == col->epoch() &&
-                          index->num_rows() == col->size()
+      freshness = SidecarFresh(meta, *index, ColumnFingerprint(*col),
+                               col->size())
                       ? "fresh"
                       : "STALE (will be rebuilt on use)";
       break;
@@ -646,19 +634,7 @@ Status SetupCatalog(const Args& args, Catalog* catalog,
       cache::ChunkCache::Global().SetBudget(chunk_mb * 1024 * 1024);
     }
   }
-  if (IsShardedTableDir(table_dir)) {
-    GEOCOL_ASSIGN_OR_RETURN(
-        auto sharded,
-        ReadShardedTableDir(table_dir, /*verify_checksums=*/true, paged));
-    std::string name = sharded->name().empty() ? "ahn2" : sharded->name();
-    GEOCOL_RETURN_NOT_OK(
-        catalog->AddShardedPointCloud(name, std::move(sharded)));
-  } else {
-    GEOCOL_ASSIGN_OR_RETURN(FlatTable table, OpenTable(table_dir, paged));
-    GEOCOL_RETURN_NOT_OK(catalog->AddPointCloud(
-        table.name().empty() ? "ahn2" : table.name(),
-        std::make_shared<FlatTable>(std::move(table))));
-  }
+  GEOCOL_RETURN_NOT_OK(catalog->AddPointCloudDir(table_dir, paged));
   std::string layers_dir = args.Value("--layers", "");
   if (!layers_dir.empty()) {
     std::vector<std::string> layer_files;
@@ -1071,7 +1047,7 @@ int CmdReplay(const Args& args) {
 
 int CmdRaster(const Args& args) {
   if (args.positional.size() < 2) return Usage();
-  auto table = OpenTable(args.positional[0]);
+  auto table = OpenTableDir(args.positional[0]);
   if (!table.ok()) return Fail(table.status());
   uint32_t cols = static_cast<uint32_t>(args.U64("--cols", 512));
   ColumnPtr xc = table->column("x"), yc = table->column("y");
