@@ -7,6 +7,7 @@
 #include "util/binary_io.h"
 #include "util/crc32c.h"
 #include "util/tempdir.h"
+#include "util/thread_pool.h"
 
 namespace geocol {
 
@@ -351,7 +352,8 @@ void CleanStaleTableFiles(const std::string& dir, const TableManifest& keep) {
   }
 }
 
-Status WriteTableDir(const FlatTable& table, const std::string& dir) {
+Status WriteTableDir(const FlatTable& table, const std::string& dir,
+                     ThreadPool* pool) {
   GEOCOL_RETURN_NOT_OK(table.Validate());
   GEOCOL_RETURN_NOT_OK(MakeDir(dir));
   // Write the next generation's column files under fresh names; the files
@@ -366,9 +368,21 @@ Status WriteTableDir(const FlatTable& table, const std::string& dir) {
   m.table_name = table.name();
   m.generation = gen;
   for (const auto& col : table.columns()) {
-    std::string fname = col->name() + ".g" + std::to_string(gen) + ".gcl";
-    GEOCOL_RETURN_NOT_OK(WriteColumnFile(*col, dir + "/" + fname));
-    m.columns.push_back({col->name(), col->type(), fname});
+    m.columns.push_back({col->name(), col->type(),
+                         col->name() + ".g" + std::to_string(gen) + ".gcl"});
+  }
+  auto write = [&](size_t c) {
+    return WriteColumnFile(*table.column(c), dir + "/" + m.columns[c].filename);
+  };
+  if (pool == nullptr) {
+    for (size_t c = 0; c < m.columns.size(); ++c) {
+      GEOCOL_RETURN_NOT_OK(write(c));
+    }
+  } else {
+    std::vector<Status> written(m.columns.size());
+    pool->ParallelFor(written.size(),
+                      [&](size_t c) { written[c] = write(c); });
+    for (const Status& st : written) GEOCOL_RETURN_NOT_OK(st);
   }
   GEOCOL_RETURN_NOT_OK(WriteTableManifest(dir, m));  // the commit point
   CleanStaleTableFiles(dir, m);

@@ -9,8 +9,9 @@
 //     CRC32C footer, and records the file name of every column.
 //   - All files are written with the atomic durable protocol (tmp ->
 //     fsync -> rename -> fsync dir). WriteTableDir writes generation N's
-//     column files under new names and swaps the manifest last, so a crash
-//     at ANY point leaves the previous generation fully readable.
+//     column files under new names (concurrently, given a pool) and swaps
+//     the manifest last, so a crash at ANY point leaves the previous
+//     generation fully readable.
 //   - Legacy "GCL1"/"GCT1" files (no checksums) are still readable.
 #ifndef GEOCOL_COLUMNS_COLUMN_FILE_H_
 #define GEOCOL_COLUMNS_COLUMN_FILE_H_
@@ -22,6 +23,8 @@
 #include "util/status.h"
 
 namespace geocol {
+
+class ThreadPool;
 
 /// Payload bytes covered by each column-file chunk CRC.
 constexpr size_t kColumnChunkBytes = 256 * 1024;
@@ -103,7 +106,13 @@ void CleanStaleTableFiles(const std::string& dir, const TableManifest& keep);
 /// `<dir>/schema.gct` manifest + `<dir>/<col>.gN.gcl` per column. After a
 /// crash at any injected failure point, ReadTableDir returns either the
 /// previous table or the new one — never an error, never mixed data.
-Status WriteTableDir(const FlatTable& table, const std::string& dir);
+/// With a `pool` the column files are written concurrently; the manifest
+/// is written only after every one of them has committed, and if any
+/// failed there is no manifest and the first error in column order is
+/// returned. A null pool writes them one after another on the caller, and
+/// stops at the first failure. The files are byte-identical either way.
+Status WriteTableDir(const FlatTable& table, const std::string& dir,
+                     ThreadPool* pool = nullptr);
 
 /// Loads a table persisted by WriteTableDir.
 Result<FlatTable> ReadTableDir(const std::string& dir,

@@ -30,6 +30,21 @@ Status ReadHeader(BinaryReader* r, LasHeader* h) {
   for (int a = 0; a < 3; ++a) {
     if (h->scale[a] <= 0.0) return Status::Corruption("non-positive scale");
   }
+  // The point count is untrusted: bound it by the bytes that follow the
+  // header, without multiplying it, so no caller sizes anything from a
+  // count the file cannot hold.
+  const uint64_t body = r->Remaining();
+  const bool fits =
+      h->compressed != 0
+          ? body >= sizeof(uint64_t) &&
+                LazCountFits(h->point_count, body - sizeof(uint64_t))
+          : h->point_count <= body / kLasRecordBytes;
+  if (!fits) {
+    return Status::Corruption("point count " +
+                              std::to_string(h->point_count) +
+                              " exceeds what the " + std::to_string(body) +
+                              " bytes after the header can hold");
+  }
   return Status::OK();
 }
 }  // namespace
@@ -51,14 +66,14 @@ Result<LasTile> ReadLasFile(const std::string& path) {
   if (tile.header.compressed != 0) {
     uint64_t payload_size = 0;
     GEOCOL_RETURN_NOT_OK(r.ReadScalar(&payload_size));
-    GEOCOL_ASSIGN_OR_RETURN(uint64_t file_size, r.FileSize());
-    if (payload_size > file_size) {
+    if (payload_size > r.Remaining()) {
       return Status::Corruption("LAZ payload size exceeds file size");
     }
     std::vector<uint8_t> payload(payload_size);
     GEOCOL_RETURN_NOT_OK(r.ReadBytes(payload.data(), payload.size()));
     GEOCOL_RETURN_NOT_OK(LazDecompress(payload, n, &tile.points));
   } else {
+    // ReadHeader bounded n by the bytes remaining, so this cannot wrap.
     std::vector<uint8_t> buf;
     GEOCOL_RETURN_NOT_OK(r.ReadVector(&buf, n * kLasRecordBytes));
     tile.points.resize(n);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <string>
 
 #include "util/bitpack.h"
 
@@ -138,13 +139,16 @@ Status LazCompress(const std::vector<LasPointRecord>& points,
     if (begin >= end && begin > 0) break;
     for (size_t stream = 0; stream < kNumStreams; ++stream) {
       ExtractStream(points, stream, begin, end, &vals);
-      // Delta + zigzag; the first value is the chunk base.
+      // Delta + zigzag; the first value is the chunk base. Deltas wrap
+      // modulo 2^64 (the decoder's sum wraps back), so extreme neighbours
+      // such as INT64_MIN next to INT64_MAX stay well defined.
       uint64_t max_zz = 0;
-      int64_t prev = 0;
+      uint64_t prev = 0;
       std::vector<uint64_t> zz(vals.size());
       for (size_t i = 0; i < vals.size(); ++i) {
-        zz[i] = ZigZagEncode(vals[i] - prev);
-        prev = vals[i];
+        const uint64_t v = static_cast<uint64_t>(vals[i]);
+        zz[i] = ZigZagEncode(static_cast<int64_t>(v - prev));
+        prev = v;
         max_zz = std::max(max_zz, zz[i]);
       }
       uint8_t bits = max_zz == 0
@@ -160,30 +164,52 @@ Status LazCompress(const std::vector<LasPointRecord>& points,
   return Status::OK();
 }
 
+bool LazCountFits(uint64_t count, uint64_t payload_bytes) {
+  const uint64_t chunks =
+      count / kLazChunkSize + (count % kLazChunkSize != 0 ? 1 : 0);
+  return chunks <= payload_bytes / kNumStreams;
+}
+
 Status LazDecompress(const std::vector<uint8_t>& data, uint64_t count,
                      std::vector<LasPointRecord>* out) {
-  out->assign(count, LasPointRecord{});
+  // `count` comes from an untrusted header: bound it by the payload before
+  // anything is sized from it.
+  if (!LazCountFits(count, data.size())) {
+    return Status::Corruption("LAZ point count " + std::to_string(count) +
+                              " exceeds what a " +
+                              std::to_string(data.size()) +
+                              "-byte payload can hold");
+  }
+  // Grow chunk by chunk: a count that fits the bound but not the payload
+  // fails once the payload runs out, having sized only what it decoded.
+  out->clear();
+  out->reserve(std::min<uint64_t>(count, data.size()));
   size_t byte_pos = 0;
   std::vector<int64_t> vals;
   for (size_t begin = 0; begin < count || begin == 0; begin += kLazChunkSize) {
     size_t end = std::min<size_t>(count, begin + kLazChunkSize);
     if (begin >= end && begin > 0) break;
     size_t n = end - begin;
+    out->resize(end);
     for (size_t stream = 0; stream < kNumStreams; ++stream) {
       if (byte_pos >= data.size()) {
         return Status::Corruption("LAZ payload truncated (missing bit width)");
       }
       uint8_t bits = data[byte_pos];
+      if (bits > 64) {
+        return Status::Corruption("LAZ bit width " + std::to_string(bits) +
+                                  " exceeds 64");
+      }
       BitReader chunk(data.data() + byte_pos + 1, data.size() - byte_pos - 1);
       vals.assign(n, 0);
-      int64_t prev = 0;
+      uint64_t prev = 0;
       for (size_t i = 0; i < n; ++i) {
         uint64_t z = 0;
         if (bits > 0 && !chunk.Read(&z, bits)) {
           return Status::Corruption("LAZ payload truncated (stream data)");
         }
-        prev += ZigZagDecode(z);
-        vals[i] = prev;
+        prev += static_cast<uint64_t>(ZigZagDecode(z));
+        vals[i] = static_cast<int64_t>(prev);
       }
       InjectStream(out, stream, begin, vals);
       size_t stream_bytes = (static_cast<size_t>(bits) * n + 7) / 8;

@@ -22,8 +22,15 @@ constexpr size_t kLazChunkSize = 4096;
 Status LazCompress(const std::vector<LasPointRecord>& points,
                    std::vector<uint8_t>* out);
 
+/// True when a payload of `payload_bytes` can hold `count` points: every
+/// chunk of up to kLazChunkSize points carries at least one bit-width byte
+/// per attribute stream. Bounds an untrusted header count before anything
+/// is sized from it.
+bool LazCountFits(uint64_t count, uint64_t payload_bytes);
+
 /// Decompresses a LazCompress payload; `count` is the expected number of
-/// points (from the file header).
+/// points (from the file header). Corruption, before any allocation, when
+/// `count` exceeds what the payload can hold (LazCountFits).
 Status LazDecompress(const std::vector<uint8_t>& data, uint64_t count,
                      std::vector<LasPointRecord>* out);
 

@@ -1,8 +1,9 @@
 #include "loader/binary_loader.h"
 
-#include <cstdio>
+#include <algorithm>
+#include <functional>
+#include <vector>
 
-#include "columns/column_file.h"
 #include "las/las_reader.h"
 #include "util/binary_io.h"
 #include "util/tempdir.h"
@@ -11,137 +12,96 @@
 
 namespace geocol {
 
-Result<std::vector<std::string>> BinaryLoader::ConvertToDumps(
-    const std::string& las_path, const std::string& prefix, LoadStats* stats) {
-  Timer t;
-  GEOCOL_ASSIGN_OR_RETURN(LasTile tile, ReadLasFile(las_path));
-  if (stats != nullptr) {
-    stats->read_seconds += t.ElapsedSeconds();
-    GEOCOL_ASSIGN_OR_RETURN(uint64_t sz, FileSizeBytes(las_path));
-    stats->bytes_read += sz;
-    stats->points += tile.points.size();
-    ++stats->files;
-  }
+namespace {
 
+/// Runs fn(i) for i in [0, n): on `pool` when there is one, else in order
+/// on the caller.
+void ForEach(ThreadPool* pool, size_t n,
+             const std::function<void(size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->ParallelFor(n, fn);
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) fn(i);
+}
+
+/// One tile of a wave: its per-attribute arrays and what decoding it cost.
+struct StagedTile {
+  FlatTable table{"staging", LasPointSchema()};
+  LoadStats stats;
+  Status status;
+};
+
+void DecodeTile(const std::string& path, StagedTile* s) {
+  Timer t;
+  Result<LasTile> tile = ReadLasFile(path);
+  if (!tile.ok()) {
+    s->status = tile.status();
+    return;
+  }
+  s->stats.read_seconds = t.ElapsedSeconds();
+  s->stats.points = tile->points.size();
   t.Restart();
-  // Materialise the tile column-wise, then dump each attribute as a raw
-  // C-array file.
-  FlatTable staging("staging", LasPointSchema());
-  GEOCOL_RETURN_NOT_OK(AppendTileToTable(tile, &staging));
-  std::vector<std::string> paths;
-  paths.reserve(staging.num_columns());
-  for (const auto& col : staging.columns()) {
-    std::string path = scratch_dir_ + "/" + prefix + "." + col->name() + ".bin";
-    GEOCOL_RETURN_NOT_OK(WriteRawDump(*col, path));
-    paths.push_back(std::move(path));
-  }
-  if (stats != nullptr) stats->convert_seconds += t.ElapsedSeconds();
-  return paths;
+  s->status = AppendTileToTable(*tile, &s->table);
+  s->stats.convert_seconds = t.ElapsedSeconds();
 }
 
-Status BinaryLoader::CopyBinary(const std::vector<std::string>& dump_paths,
-                                FlatTable* table, LoadStats* stats) {
-  if (dump_paths.size() != table->num_columns()) {
-    return Status::InvalidArgument("dump count != column count");
-  }
-  Timer t;
-  for (size_t c = 0; c < dump_paths.size(); ++c) {
-    GEOCOL_RETURN_NOT_OK(AppendRawDump(dump_paths[c], table->column(c).get()));
-  }
-  GEOCOL_RETURN_NOT_OK(table->Validate());
-  if (stats != nullptr) stats->append_seconds += t.ElapsedSeconds();
-  return Status::OK();
-}
-
-Status BinaryLoader::LoadFile(const std::string& path, FlatTable* table,
-                              LoadStats* stats) {
-  // Derive a scratch prefix from the file name.
-  size_t slash = path.find_last_of('/');
-  std::string prefix = slash == std::string::npos ? path : path.substr(slash + 1);
-  GEOCOL_ASSIGN_OR_RETURN(std::vector<std::string> dumps,
-                          ConvertToDumps(path, prefix, stats));
-  GEOCOL_RETURN_NOT_OK(CopyBinary(dumps, table, stats));
-  // The intermediate dumps are transient.
-  for (const auto& d : dumps) ::remove(d.c_str());
-  return Status::OK();
-}
-
-Result<std::shared_ptr<FlatTable>> BinaryLoader::LoadDirectoryParallel(
-    const std::string& dir, size_t threads, LoadStats* stats) {
-  std::vector<std::string> files;
-  GEOCOL_RETURN_NOT_OK(ListFiles(dir, ".las", &files));
-  GEOCOL_RETURN_NOT_OK(ListFiles(dir, ".laz", &files));
-  if (files.empty()) {
-    return Status::NotFound("no .las/.laz files under " + dir);
-  }
-  Timer wall;
-  // Phase 1: per-file conversion fans out; each task gets its own stats so
-  // there is no shared mutable state.
-  std::vector<std::vector<std::string>> dumps(files.size());
-  std::vector<LoadStats> per_file(files.size());
-  std::vector<Status> statuses(files.size());
-  {
-    ThreadPool pool(threads);
-    pool.ParallelFor(files.size(), [&](size_t i) {
-      size_t slash = files[i].find_last_of('/');
-      std::string prefix = slash == std::string::npos
-                               ? files[i]
-                               : files[i].substr(slash + 1);
-      auto res = ConvertToDumps(files[i], prefix, &per_file[i]);
-      if (res.ok()) {
-        dumps[i] = std::move(*res);
-      } else {
-        statuses[i] = res.status();
-      }
-    });
-  }
-  for (const Status& st : statuses) GEOCOL_RETURN_NOT_OK(st);
-
-  // Phase 2: COPY BINARY in file order (append order defines row order).
-  auto table = std::make_shared<FlatTable>("ahn2", LasPointSchema());
-  LoadStats append_stats;
-  for (size_t i = 0; i < files.size(); ++i) {
-    GEOCOL_RETURN_NOT_OK(CopyBinary(dumps[i], table.get(), &append_stats));
-    for (const auto& d : dumps[i]) ::remove(d.c_str());
-  }
-  if (stats != nullptr) {
-    LoadStats total;
-    for (const LoadStats& s : per_file) {
-      total.files += s.files;
-      total.points += s.points;
-      total.bytes_read += s.bytes_read;
-      total.read_seconds += s.read_seconds;
-      total.convert_seconds += s.convert_seconds;
-    }
-    total.append_seconds = append_stats.append_seconds;
-    // With parallel conversion the per-phase CPU seconds overstate wall
-    // time; report wall-clock read+convert instead.
-    double wall_s = wall.ElapsedSeconds();
-    double serial_front = total.read_seconds + total.convert_seconds;
-    if (serial_front > wall_s) {
-      double scale = (wall_s - total.append_seconds) / serial_front;
-      if (scale > 0) {
-        total.read_seconds *= scale;
-        total.convert_seconds *= scale;
-      }
-    }
-    *stats = total;
-  }
-  return table;
-}
+}  // namespace
 
 Result<std::shared_ptr<FlatTable>> BinaryLoader::LoadDirectory(
-    const std::string& dir, LoadStats* stats) {
+    const std::string& dir, LoadStats* stats, ThreadPool* pool) {
+  Timer wall;
   std::vector<std::string> files;
   GEOCOL_RETURN_NOT_OK(ListFiles(dir, ".las", &files));
   GEOCOL_RETURN_NOT_OK(ListFiles(dir, ".laz", &files));
   if (files.empty()) {
     return Status::NotFound("no .las/.laz files under " + dir);
   }
-  auto table = std::make_shared<FlatTable>("ahn2", LasPointSchema());
+  LoadStats total;
+  // Size every column once, from the header counts. ReadLasHeader bounds a
+  // LAS count by the file's bytes; a LAZ count is bounded only by 4096
+  // points per 26 payload bytes, so each tile reserves at most one row per
+  // byte of its file and a forged count cannot inflate the reservation.
+  Timer t;
+  uint64_t rows = 0;
   for (const std::string& f : files) {
-    GEOCOL_RETURN_NOT_OK(LoadFile(f, table.get(), stats));
+    GEOCOL_ASSIGN_OR_RETURN(uint64_t bytes, FileSizeBytes(f));
+    GEOCOL_ASSIGN_OR_RETURN(LasHeader h, ReadLasHeader(f));
+    rows += std::min(h.point_count, bytes);
+    total.bytes_read += bytes;
   }
+  auto table = std::make_shared<FlatTable>("ahn2", LasPointSchema());
+  for (const ColumnPtr& col : table->columns()) col->Reserve(rows);
+  total.read_seconds += t.ElapsedSeconds();
+
+  const size_t wave_size =
+      pool == nullptr ? 1 : std::max<size_t>(1, 2 * pool->num_threads());
+  for (size_t begin = 0; begin < files.size(); begin += wave_size) {
+    const size_t n = std::min(wave_size, files.size() - begin);
+    std::vector<StagedTile> wave(n);
+    ForEach(pool, n, [&](size_t i) { DecodeTile(files[begin + i], &wave[i]); });
+    for (const StagedTile& s : wave) {
+      GEOCOL_RETURN_NOT_OK(s.status);
+      total.points += s.stats.points;
+      total.read_seconds += s.stats.read_seconds;
+      total.convert_seconds += s.stats.convert_seconds;
+    }
+    // COPY BINARY from memory: each column takes the wave's arrays in file
+    // order (append order defines row order); columns are independent.
+    t.Restart();
+    ForEach(pool, table->num_columns(), [&](size_t c) {
+      Column* dst = table->column(c).get();
+      for (const StagedTile& s : wave) {
+        const Column& src = *s.table.column(c);
+        dst->AppendRaw(src.raw_data(), src.size());
+      }
+    });
+    total.append_seconds += t.ElapsedSeconds();
+  }
+  GEOCOL_RETURN_NOT_OK(table->Validate());
+  total.files = files.size();
+  total.wall_seconds = wall.ElapsedSeconds();
+  if (stats != nullptr) *stats = total;
   return table;
 }
 

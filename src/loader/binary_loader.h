@@ -3,12 +3,16 @@
 // binary dump of a C-array containing the values of the property for all
 // points. Then, the generated files are appended to each column of the
 // flat table using the bulk loading operator COPY BINARY."
+//
+// MonetDB needs those files only because its loader and its kernel are
+// separate processes. Here both live in one process, so each tile's
+// per-attribute C-arrays are appended to the columns straight from memory:
+// loading stays a copy, not a parse, with no file in between.
 #ifndef GEOCOL_LOADER_BINARY_LOADER_H_
 #define GEOCOL_LOADER_BINARY_LOADER_H_
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "columns/flat_table.h"
 #include "las/las_format.h"
@@ -16,18 +20,25 @@
 
 namespace geocol {
 
+class ThreadPool;
+
 /// Accounting of one load run (drives E1).
 struct LoadStats {
   uint64_t files = 0;
   uint64_t points = 0;
-  double read_seconds = 0.0;     ///< tile read + LAZ decompression
-  double convert_seconds = 0.0;  ///< record -> per-attribute arrays / CSV
-  double append_seconds = 0.0;   ///< COPY BINARY / CSV parse into columns
+  /// Tile reads, header reads and LAZ decompression, summed over tiles.
+  /// Tiles decoded on a pool overlap, so this may exceed wall_seconds.
+  double read_seconds = 0.0;
+  /// Records -> per-attribute arrays (binary) or CSV text, summed over
+  /// tiles like read_seconds.
+  double convert_seconds = 0.0;
+  /// Per-attribute arrays / CSV parse into the table's columns (wall).
+  double append_seconds = 0.0;
+  /// The whole load, start to finish.
+  double wall_seconds = 0.0;
   uint64_t bytes_read = 0;
 
-  double TotalSeconds() const {
-    return read_seconds + convert_seconds + append_seconds;
-  }
+  double TotalSeconds() const { return wall_seconds; }
   double PointsPerSecond() const {
     double t = TotalSeconds();
     return t > 0 ? points / t : 0.0;
@@ -37,40 +48,23 @@ struct LoadStats {
 /// Binary bulk loader for LAS/LAZ tile directories.
 class BinaryLoader {
  public:
-  /// `scratch_dir` receives the intermediate per-attribute binary dumps;
-  /// it must exist.
-  explicit BinaryLoader(std::string scratch_dir)
-      : scratch_dir_(std::move(scratch_dir)) {}
+  /// The scratch directory is unused: the per-attribute arrays never
+  /// pass through files. The parameter stays so existing callers compile
+  /// unchanged.
+  explicit BinaryLoader(const std::string& /*scratch_dir*/) {}
 
   /// Loads every .las/.laz file under `dir` into a fresh flat table with
-  /// the LAS point schema.
+  /// the LAS point schema, rows in ListFiles order. Tiles are decoded in
+  /// waves of at most 2 x the pool's threads, each tile into its own
+  /// staging table on `pool`; a wave is then appended column by column
+  /// (the 26 columns in parallel) and its staging tables are freed, so
+  /// peak memory is the table plus a few tiles. Each column is reserved
+  /// once from the sum of the (size-checked) header counts. A null `pool`
+  /// runs everything serially on the caller; the table is byte-identical
+  /// either way.
   Result<std::shared_ptr<FlatTable>> LoadDirectory(const std::string& dir,
-                                                   LoadStats* stats = nullptr);
-
-  /// As LoadDirectory, but converts tiles to binary dumps on `threads`
-  /// worker threads; the COPY BINARY appends stay serialised in file order
-  /// so the result is byte-identical to the sequential load.
-  Result<std::shared_ptr<FlatTable>> LoadDirectoryParallel(
-      const std::string& dir, size_t threads, LoadStats* stats = nullptr);
-
-  /// Loads one tile file into `table` (which must have the LAS schema),
-  /// via the dump + COPY BINARY path.
-  Status LoadFile(const std::string& path, FlatTable* table,
-                  LoadStats* stats = nullptr);
-
-  /// Step 1 of the pipeline: converts a tile file into one raw binary dump
-  /// per attribute under the scratch dir; returns the 26 dump paths in
-  /// schema order.
-  Result<std::vector<std::string>> ConvertToDumps(const std::string& las_path,
-                                                  const std::string& prefix,
-                                                  LoadStats* stats = nullptr);
-
-  /// Step 2: COPY BINARY — appends each dump to its column.
-  Status CopyBinary(const std::vector<std::string>& dump_paths,
-                    FlatTable* table, LoadStats* stats = nullptr);
-
- private:
-  std::string scratch_dir_;
+                                                   LoadStats* stats = nullptr,
+                                                   ThreadPool* pool = nullptr);
 };
 
 }  // namespace geocol

@@ -255,6 +255,78 @@ TEST(LasCorruptionTest, ZeroScaleRejected) {
             StatusCode::kCorruption);
 }
 
+// An untrusted point count: 275324538413575398 x 67 wraps around in 64
+// bits, so a count check that multiplies first lets it through and the
+// reader then sizes a vector from it. Both formats must refuse it before
+// any allocation sized by the count.
+constexpr uint64_t kWrappingCount = 275324538413575398ull;
+constexpr size_t kCountOffset = 4;  // after the "GLAS" magic
+
+void PatchPointCount(const std::string& path, uint64_t count) {
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(ReadFileBytes(path, &bytes).ok());
+  std::memcpy(bytes.data() + kCountOffset, &count, sizeof(count));
+  ASSERT_TRUE(WriteFileBytes(path, bytes.data(), bytes.size()).ok());
+}
+
+TEST(LasCorruptionTest, WrappingLasCountRejected) {
+  TempDir tmp;
+  LasTile tile = MakeTile(100, 124);
+  ASSERT_TRUE(WriteLasFile(tile, tmp.File("t.las")).ok());
+  PatchPointCount(tmp.File("t.las"), kWrappingCount);
+  EXPECT_EQ(ReadLasHeader(tmp.File("t.las")).status().code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(ReadLasFile(tmp.File("t.las")).status().code(),
+            StatusCode::kCorruption);
+  // One point more than the file holds is refused too; the true count reads.
+  PatchPointCount(tmp.File("t.las"), 101);
+  EXPECT_EQ(ReadLasFile(tmp.File("t.las")).status().code(),
+            StatusCode::kCorruption);
+  PatchPointCount(tmp.File("t.las"), 100);
+  EXPECT_TRUE(ReadLasFile(tmp.File("t.las")).ok());
+}
+
+TEST(LasCorruptionTest, ForgedLazCountRejected) {
+  TempDir tmp;
+  LasTile tile = MakeTile(5000, 125);
+  ASSERT_TRUE(WriteLazFile(tile, tmp.File("t.laz")).ok());
+  PatchPointCount(tmp.File("t.laz"), kWrappingCount);
+  EXPECT_EQ(ReadLasHeader(tmp.File("t.laz")).status().code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(ReadLasFile(tmp.File("t.laz")).status().code(),
+            StatusCode::kCorruption);
+  // A count that passes the payload bound but exceeds the points present
+  // fails as truncated once the payload runs out.
+  PatchPointCount(tmp.File("t.laz"), 5000 + kLazChunkSize);
+  EXPECT_EQ(ReadLasFile(tmp.File("t.laz")).status().code(),
+            StatusCode::kCorruption);
+}
+
+TEST(LazCodecTest, CountBeyondPayloadRejectedBeforeAllocation) {
+  LasTile tile = MakeTile(10, 126);
+  std::vector<uint8_t> payload;
+  ASSERT_TRUE(LazCompress(tile.points, &payload).ok());
+  // Every chunk of up to 4096 points needs 26 bit-width bytes.
+  EXPECT_TRUE(LazCountFits(kLazChunkSize, 26));
+  EXPECT_FALSE(LazCountFits(kLazChunkSize + 1, 26 * 2 - 1));
+  EXPECT_FALSE(LazCountFits(~uint64_t{0}, payload.size()));
+  std::vector<LasPointRecord> out;
+  EXPECT_EQ(LazDecompress(payload, kWrappingCount, &out).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(LazDecompress(payload, ~uint64_t{0}, &out).code(),
+            StatusCode::kCorruption);
+  EXPECT_LT(out.capacity(), 4096u);
+}
+
+TEST(LazCodecTest, BitWidthAbove64Rejected) {
+  LasTile tile = MakeTile(10, 127);
+  std::vector<uint8_t> payload;
+  ASSERT_TRUE(LazCompress(tile.points, &payload).ok());
+  payload[0] = 65;
+  std::vector<LasPointRecord> out;
+  EXPECT_EQ(LazDecompress(payload, 10, &out).code(), StatusCode::kCorruption);
+}
+
 // ---------------- LAZ codec directly ----------------
 
 TEST(LazCodecTest, EmptyInput) {
@@ -299,6 +371,8 @@ TEST(LazCodecTest, ChunkBoundaryPlusOne) {
 }
 
 TEST(LazCodecTest, NegativeAndExtremeValues) {
+  // Neighbouring extremes overflow a signed delta; the codec's deltas wrap
+  // modulo 2^64, so the round trip is exact and well defined.
   std::vector<LasPointRecord> pts(3);
   pts[0].x = INT32_MIN;
   pts[0].z = INT32_MAX;

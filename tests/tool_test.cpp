@@ -352,6 +352,29 @@ TEST_F(ToolTest, VerifyDetectsCorruptedShardColumn) {
   EXPECT_NE(text.find("shard_0000.g1/"), std::string::npos) << text;
 }
 
+TEST_F(ToolTest, LoadWithCorruptTileFailsAndLeavesNoManifest) {
+  // A truncated tile in the middle of the directory: `geocol load` exits
+  // non-zero and no table is committed.
+  const std::string bad = tmp_->File("badtiles");
+  ASSERT_TRUE(MakeDir(bad).ok());
+  std::vector<std::string> tiles;
+  ASSERT_TRUE(ListFiles(tmp_->File("tiles"), ".las", &tiles).ok());
+  ASSERT_FALSE(tiles.empty());
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(ReadFileBytes(tiles[0], &bytes).ok());
+  for (int i = 0; i < 5; ++i) {
+    if (i == 2) bytes.resize(bytes.size() - 100);
+    const std::string name = bad + "/t" + std::to_string(i) + ".las";
+    ASSERT_TRUE(WriteFileBytes(name, bytes.data(), bytes.size()).ok());
+    if (i == 2) ASSERT_TRUE(ReadFileBytes(tiles[0], &bytes).ok());
+  }
+  const std::string table = tmp_->File("badtable");
+  std::string out;
+  EXPECT_NE(RunTool("load " + bad + " " + table, &out, tmp_), 0);
+  EXPECT_NE(Slurp(out).find("Corruption"), std::string::npos) << Slurp(out);
+  EXPECT_FALSE(PathExists(table + "/schema.gct"));
+}
+
 TEST_F(ToolTest, ParallelLoadMatchesSequential) {
   ASSERT_EQ(RunTool("load " + tmp_->File("tiles") + " " + tmp_->File("ptable") +
                     " --threads 3",

@@ -274,24 +274,25 @@ int CmdLoad(const Args& args) {
   if (args.positional.size() < 2) return Usage();
   const std::string& tiles = args.positional[0];
   const std::string& table_dir = args.positional[1];
-  TempDir scratch("geocol-load");
+  // One pool decodes the tiles, writes the column files and builds the
+  // sidecars; --threads 0 (the default) means every core.
+  ThreadPool pool(args.U64("--threads", 0));
   LoadStats stats;
   Result<std::shared_ptr<FlatTable>> table = Status::Internal("unset");
   if (args.Has("--csv")) {
+    TempDir scratch("geocol-load");
     CsvLoader loader(scratch.path());
     table = loader.LoadDirectory(tiles, &stats);
   } else {
-    BinaryLoader loader(scratch.path());
-    uint64_t threads = args.U64("--threads", 1);
-    table = threads > 1
-                ? loader.LoadDirectoryParallel(tiles, threads, &stats)
-                : loader.LoadDirectory(tiles, &stats);
+    BinaryLoader loader(/*scratch_dir=*/"");
+    table = loader.LoadDirectory(tiles, &stats, &pool);
   }
   if (!table.ok()) return Fail(table.status());
   std::printf("loaded %llu points from %llu files in %.2f s (%.2f Mpts/s)\n",
               static_cast<unsigned long long>(stats.points),
               static_cast<unsigned long long>(stats.files),
               stats.TotalSeconds(), stats.PointsPerSecond() / 1e6);
+  Timer t_write;
   if (args.Has("--chunked")) {
     // Per-chunk compression (GPC1): the only compressed layout the paged
     // open mode (--paged) can fault chunk by chunk.
@@ -313,21 +314,31 @@ int CmdLoad(const Args& args) {
                 table_dir.c_str(), bytes / 1048576.0,
                 static_cast<double>((*table)->DataBytes()) / bytes);
   } else {
-    if (Status st = WriteTableDir(**table, table_dir); !st.ok()) {
+    if (Status st = WriteTableDir(**table, table_dir, &pool); !st.ok()) {
       return Fail(st);
     }
     std::printf("persisted table to %s (%.1f MB)\n", table_dir.c_str(),
                 (*table)->DataBytes() / 1048576.0);
   }
+  const double write_s = t_write.ElapsedSeconds();
   // The x/y imprint sidecars, so the first serve or query adopts them
   // instead of building. They are cache: failing to write them is a
   // warning, and the table is already committed.
-  ThreadPool pool(0);
+  Timer t_sidecars;
   if (Status st = WriteImprintsSidecars(**table, {"x", "y"}, table_dir, &pool);
       !st.ok()) {
     std::fprintf(stderr, "warning: no imprint sidecars: %s\n",
                  st.ToString().c_str());
   }
+  // Per-phase wall times (read and convert are summed over the tiles, so
+  // with a pool they can exceed the load's wall time).
+  std::fprintf(stderr,
+               "load phases: read %.3f s, convert %.3f s (summed over "
+               "tiles), append %.3f s, load %.3f s, write %.3f s, "
+               "sidecars %.3f s (%zu threads)\n",
+               stats.read_seconds, stats.convert_seconds, stats.append_seconds,
+               stats.wall_seconds, write_s, t_sidecars.ElapsedSeconds(),
+               pool.num_threads());
   return 0;
 }
 
