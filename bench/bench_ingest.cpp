@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
   // Warm the epoch-0 imprints so commit timings measure maintenance, not
   // the first-build cost.
   EpochSnapshot pinned = (*live)->Pin();
-  (void)pinned.engine->SelectInBox(viewport);
+  (void)pinned.engine().SelectInBox(viewport);
 
   double commit_ms = TimeMs([&] {
     TableAppender app(*live);
@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
   // The pinned epoch answers at pre-ingest cost regardless of the
   // commits that landed meanwhile.
   double pinned_ms = TimeMs([&] {
-    auto r = pinned.engine->SelectInBox(viewport);
+    auto r = pinned.engine().SelectInBox(viewport);
     if (!r.ok()) std::exit(1);
   });
   e2e.Row({TablePrinter::Int(batch_rows), TablePrinter::Num(commit_ms, 2),

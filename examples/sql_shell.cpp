@@ -62,11 +62,11 @@ int main(int argc, char** argv) {
     if (input == "\\q" || input == "quit" || input == "exit") break;
     if (input == "\\d") {
       for (const auto& name : catalog.PointCloudNames()) {
-        auto t = catalog.GetTable(name);
-        std::printf("  %s  point cloud, %llu rows, %zu columns\n",
+        auto view = catalog.View(name).value();
+        std::printf("  %s  point cloud, %llu rows, %zu columns, %zu shard(s)\n",
                     name.c_str(),
-                    static_cast<unsigned long long>((*t)->num_rows()),
-                    (*t)->num_columns());
+                    static_cast<unsigned long long>(view->total_rows),
+                    view->schema().num_fields(), view->shards.size());
       }
       for (const auto& name : catalog.LayerNames()) {
         auto l = catalog.GetLayer(name);

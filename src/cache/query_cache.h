@@ -69,10 +69,11 @@ struct CachedSelection {
   ImprintScanStats filter_x;
   ImprintScanStats filter_y;
   RefinementStats refine;
-  uint64_t features_matched = 0;  ///< NEAR entries only
+  std::vector<uint32_t> matched_features;  ///< NEAR entries only
 
   size_t MemoryBytes() const {
-    return sizeof(*this) + row_ids.capacity() * sizeof(uint64_t);
+    return sizeof(*this) + row_ids.capacity() * sizeof(uint64_t) +
+           matched_features.capacity() * sizeof(uint32_t);
   }
 };
 

@@ -1,7 +1,6 @@
 #include "columns/sharded_table.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <numeric>
@@ -37,11 +36,6 @@ ColumnPtr GatherColumn(const Column& src, const std::vector<uint64_t>& perm,
 
 }  // namespace
 
-uint64_t ShardedTable::NextLayoutId() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
 size_t ShardedTable::ShardIndexOf(uint64_t global_row) const {
   // First shard whose base exceeds the row, minus one.
   size_t lo = 0, hi = shards_.size();
@@ -58,6 +52,19 @@ size_t ShardedTable::ShardIndexOf(uint64_t global_row) const {
 
 Schema ShardedTable::schema() const {
   return shards_.empty() ? Schema() : shards_[0].table->schema();
+}
+
+std::shared_ptr<ShardedTable> ShardedTable::Wrap(
+    std::shared_ptr<FlatTable> table, std::string dir) {
+  auto out = std::make_shared<ShardedTable>();
+  out->name_ = table->name();
+  out->options_.num_shards = 1;
+  out->num_rows_ = table->num_rows();
+  ShardSlice slice;
+  slice.table = std::move(table);
+  slice.dir = std::move(dir);
+  out->shards_.push_back(std::move(slice));
+  return out;
 }
 
 Result<std::shared_ptr<ShardedTable>> ShardedTable::Create(

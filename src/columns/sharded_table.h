@@ -41,14 +41,14 @@ struct ShardSlice {
   /// Global row id of the shard's first row.
   uint64_t base = 0;
   /// Directory holding the shard's persisted columns; "" when in-memory
-  /// only. Imprint sidecars of a sharded engine live here too.
+  /// only. The shard engine's imprint sidecars live here too.
   std::string dir;
 };
 
-/// An immutable Hilbert-sharded layout of one logical table. Built once by
-/// Create (or loaded by ReadShardedTableDir); queries go through the shard
-/// router. Mutating a shard's columns afterwards bumps their epochs, which
-/// the router's cache keys observe.
+/// A Hilbert-sharded layout of one logical table. Built once by Create (or
+/// loaded by ReadShardedTableDir, or a flat table wrapped as one slice);
+/// queries go through a ShardRouter. Mutating a shard's columns afterwards
+/// bumps their epochs, which the shard engines' cache keys observe.
 class ShardedTable {
  public:
   /// Sorts `source` rows by Hilbert key of (x, y) scaled to the source
@@ -60,6 +60,14 @@ class ShardedTable {
   /// and an empty table builds a single empty shard.
   static Result<std::shared_ptr<ShardedTable>> Create(
       const FlatTable& source, const ShardingOptions& options = {});
+
+  /// Wraps `table` in place as a one-slice layout: no Hilbert sort, base
+  /// 0, and `dir` (the table's own directory, or "") as the slice dir, so
+  /// imprint sidecars written beside its columns are adopted. The slice
+  /// bbox and extent stay empty: a one-shard view is never pruned, and
+  /// its extent comes from the column stats.
+  static std::shared_ptr<ShardedTable> Wrap(std::shared_ptr<FlatTable> table,
+                                            std::string dir);
 
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
@@ -78,11 +86,6 @@ class ShardedTable {
   /// Extent the Hilbert keys were scaled to (the source table's bounds).
   const Box& extent() const { return extent_; }
 
-  /// Process-unique id assigned at construction; cache keys use it (plus
-  /// the generation and per-shard column epochs) so two layouts can never
-  /// alias each other's entries.
-  uint64_t layout_id() const { return layout_id_; }
-
   /// Incremented by every successful WriteShardedTableDir; 0 for a layout
   /// that has never been persisted.
   uint64_t generation() const { return generation_; }
@@ -90,7 +93,7 @@ class ShardedTable {
 
   /// Live-append hook: restamps the total row count after ShardRouter::
   /// Append replaces shard slices in place (slice tables, bboxes and base
-  /// offsets are updated by the same caller, under its view lock).
+  /// offsets are updated by the same caller).
   void set_num_rows(uint64_t n) { num_rows_ = n; }
 
   /// Index of the shard containing `global_row` (rows are contiguous in
@@ -103,14 +106,11 @@ class ShardedTable {
                   uint64_t num_rows);
 
  private:
-  static uint64_t NextLayoutId();
-
   std::string name_;
   ShardingOptions options_;
   std::vector<ShardSlice> shards_;
   uint64_t num_rows_ = 0;
   Box extent_;
-  uint64_t layout_id_ = NextLayoutId();
   uint64_t generation_ = 0;
 };
 

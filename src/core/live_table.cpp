@@ -1,27 +1,13 @@
 #include "core/live_table.h"
 
-#include <thread>
-
 #include "columns/column_file.h"
 
 namespace geocol {
 
-namespace {
-
-uint32_t EffectiveThreads(uint32_t requested) {
-  if (requested != 0) return requested;
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<uint32_t>(hw);
-}
-
-}  // namespace
-
-LiveTable::LiveTable(LiveTableOptions options) : options_(std::move(options)) {
-  uint32_t threads = EffectiveThreads(options_.engine.num_threads);
-  if (threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(threads - 1);
-  }
-  // The manager is configured exactly once, here — snapshot engines are
+LiveTable::LiveTable(LiveTableOptions options)
+    : options_(std::move(options)),
+      pool_(MakeQueryPool(options_.engine.num_threads)) {
+  // The manager is configured exactly once, here — epoch shards are
   // handed the pre-configured instance and never touch its settings, so
   // publishes cannot race a reader over manager state.
   imprints_ = std::make_shared<ImprintManager>(options_.engine.imprints);
@@ -95,9 +81,6 @@ EpochSnapshot LiveTable::MakeSnapshot(uint64_t epoch,
   EpochSnapshot s;
   s.epoch = epoch;
   s.table = table;
-  s.engine = std::make_shared<SpatialQueryEngine>(
-      table, options_.engine, options_.x_column, options_.y_column,
-      pool_.get(), imprints_);
   ColumnPtr x = table->column(options_.x_column);
   ColumnPtr y = table->column(options_.y_column);
   if (x != nullptr && y != nullptr && !x->empty()) {
@@ -105,11 +88,25 @@ EpochSnapshot LiveTable::MakeSnapshot(uint64_t epoch,
     const ColumnStats& ys = y->Stats();
     s.bbox = Box(xs.min, ys.min, xs.max, ys.max);
   }
+  ShardSlice slice;
+  slice.table = table;
+  slice.bbox = s.bbox;
+  slice.dir = options_.engine.imprints_dir;
+  auto view = std::make_shared<ShardsView>();
+  view->shards.push_back(std::make_shared<LocalShard>(
+      slice, options_.engine, options_.x_column, options_.y_column,
+      pool_.get(), imprints_));
+  view->bases.push_back(0);
+  view->total_rows = table->num_rows();
+  view->version = epoch;
+  view->name = table->name();
+  view->pool = pool_;
+  s.view = std::move(view);
   return s;
 }
 
 void LiveTable::Publish(std::shared_ptr<FlatTable> next) {
-  // Engine construction and bbox read run outside mu_, so in-flight Pin()
+  // Shard construction and bbox read run outside mu_, so in-flight Pin()
   // calls are never stalled behind them.
   uint64_t next_epoch;
   {

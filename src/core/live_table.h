@@ -1,18 +1,20 @@
-// Live ingestion under queries (DESIGN.md §13, ROADMAP item 4): a
-// LiveTable is an epoch-versioned chain of immutable FlatTable snapshots.
+// Live ingestion under queries (DESIGN.md §13): a LiveTable is an
+// epoch-versioned chain of immutable FlatTable snapshots.
 //
 //   - Readers call Pin() and get an EpochSnapshot: shared_ptr column
-//     versions, the epoch's bbox, and a query engine bound to that exact
-//     version. Everything a query touches is owned by the snapshot, so a
+//     versions, the epoch's bbox, and the epoch as a one-shard ShardsView
+//     whose LocalShard engine is bound to that exact version. The SQL
+//     layer queries it through the same view path as every other point
+//     cloud. Everything a query touches is owned by the snapshot, so a
 //     concurrent publish can never mutate, free, or re-index under it.
 //   - Writers stage batches through a TableAppender and publish them with
 //     a single atomic swap of the current-snapshot pointer. Columns are
 //     copy-on-write (Column::CloneAppend): the new version is a NEW column
 //     holding old bytes + tail, the old version stays untouched until its
 //     last snapshot retires.
-//   - All snapshots share one ImprintManager, so imprints of untouched
-//     columns carry over for free and appended columns extend their
-//     lineage base's index incrementally instead of rebuilding.
+//   - All epoch shards share one ImprintManager and one pool, so imprints
+//     of untouched columns carry over for free and appended columns extend
+//     their lineage base's index incrementally instead of rebuilding.
 //   - The cache invalidates by construction: every published FlatTable has
 //     a fresh process-unique table_id, which every selection key embeds.
 //   - When backed by a directory, a publish is made durable by
@@ -27,7 +29,7 @@
 #include <string>
 
 #include "columns/flat_table.h"
-#include "core/spatial_engine.h"
+#include "core/shard_router.h"
 #include "geom/geometry.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -39,13 +41,19 @@ namespace geocol {
 struct EpochSnapshot {
   uint64_t epoch = 0;
   std::shared_ptr<FlatTable> table;  ///< this epoch's column versions
-  std::shared_ptr<SpatialQueryEngine> engine;  ///< bound to `table`
   Box bbox;  ///< x/y bounds of the epoch (empty box for an empty table)
+  /// The epoch as a one-shard view (version = epoch). Its LocalShard is
+  /// bound to `table` and shares the live table's imprint manager and
+  /// pool.
+  std::shared_ptr<const ShardsView> view;
+
+  /// The epoch shard's engine.
+  SpatialQueryEngine& engine() const { return *view->single_engine(); }
 };
 
 struct LiveTableOptions {
-  /// Engine knobs for snapshot engines. `num_threads` sizes the one pool
-  /// all snapshot engines share; `imprints_dir` is applied to the shared
+  /// Engine knobs for epoch shard engines. `num_threads` sizes the one
+  /// pool all of them share; `imprints_dir` is applied to the shared
   /// imprint manager once, at LiveTable construction.
   EngineOptions engine;
   /// Durable home of the table ("" = in-memory only: publishes are atomic
@@ -90,7 +98,7 @@ class LiveTable {
 
   explicit LiveTable(LiveTableOptions options);
 
-  /// Builds the snapshot wrapper (engine, bbox) for `next` and swaps it in
+  /// Builds the snapshot wrapper (view, bbox) for `next` and swaps it in
   /// as the next epoch. Caller must hold commit_mu_ (or be construction).
   void Publish(std::shared_ptr<FlatTable> next);
 
@@ -98,7 +106,7 @@ class LiveTable {
                              std::shared_ptr<FlatTable> table) const;
 
   LiveTableOptions options_;
-  std::unique_ptr<ThreadPool> pool_;  ///< shared by all snapshot engines
+  std::shared_ptr<ThreadPool> pool_;  ///< shared by all epoch shards
   std::shared_ptr<ImprintManager> imprints_;
   mutable std::mutex mu_;  ///< guards current_
   std::shared_ptr<const EpochSnapshot> current_;

@@ -2,25 +2,18 @@
 
 namespace geocol {
 
-EngineOptions LocalShard::ShardOptions(const EngineOptions& options,
-                                       const std::string& dir) {
+namespace {
+
+/// Persisted shards keep imprint sidecars next to their column files;
+/// in-memory shards build in memory only.
+EngineOptions ShardOptions(const EngineOptions& options,
+                           const std::string& dir) {
   EngineOptions shard_options = options;
-  // The router caches merged global results; per-shard engines stay
-  // cache-free so their execution path is exactly the pre-cache engine's.
-  shard_options.cache = CacheOptions{};
-  // Persisted shards keep imprint sidecars next to their column files;
-  // in-memory shards build in memory only.
   shard_options.imprints_dir = dir;
   return shard_options;
 }
 
-LocalShard::LocalShard(const ShardSlice& slice, const EngineOptions& options,
-                       const std::string& x_column,
-                       const std::string& y_column, ThreadPool* pool)
-    : table_(slice.table),
-      bbox_(slice.bbox),
-      engine_(slice.table, ShardOptions(options, slice.dir), x_column,
-              y_column, pool) {}
+}  // namespace
 
 LocalShard::LocalShard(const ShardSlice& slice, const EngineOptions& options,
                        const std::string& x_column,
@@ -30,20 +23,5 @@ LocalShard::LocalShard(const ShardSlice& slice, const EngineOptions& options,
       bbox_(slice.bbox),
       engine_(slice.table, ShardOptions(options, slice.dir), x_column,
               y_column, pool, std::move(imprints)) {}
-
-Result<uint64_t> LocalShard::ColumnEpoch(const std::string& name) const {
-  GEOCOL_ASSIGN_OR_RETURN(ColumnPtr col, table_->GetColumn(name));
-  return col->epoch();
-}
-
-Result<SelectionResult> LocalShard::Select(
-    const Geometry& geometry, double buffer,
-    const std::vector<AttributeRange>& thematic) {
-  return engine_.Select(geometry, buffer, thematic);
-}
-
-Result<ColumnPtr> LocalShard::GetColumn(const std::string& name) const {
-  return table_->GetColumn(name);
-}
 
 }  // namespace geocol

@@ -1,11 +1,10 @@
-// The shard execution interface: scan/refine/aggregate over an opaque
-// handle. The router talks to shards exclusively through this surface —
-// bbox for pruning, epochs for cache keys, Select for local-row
-// selections, GetColumn for merge-side value access — so a shard that
-// lives in another process or on another node only needs to speak the
-// same contract (DESIGN.md §12 sketches that evolution). Today's only
-// implementation is LocalShard: a slice table plus a cache-off engine on
-// a borrowed morsel pool.
+// One shard of a point cloud: a slice table plus the spatial query engine
+// that answers for it. Every registered point cloud is a ShardsView over
+// K >= 1 of these (DESIGN.md §12): a Hilbert-sharded layout holds one per
+// shard, a flat table is wrapped as a single shard at base 0, and a live
+// table pins one per published epoch. All row ids in and out of a shard
+// are LOCAL (0-based within the shard); the view translates to global
+// ids through the shard's base offset.
 #ifndef GEOCOL_CORE_SHARD_H_
 #define GEOCOL_CORE_SHARD_H_
 
@@ -18,86 +17,41 @@
 
 namespace geocol {
 
-/// One spatial shard, addressed opaquely. All row ids in and out of a
-/// shard are LOCAL (0-based within the shard); the router translates to
-/// global ids via the shard's base offset.
-class Shard {
- public:
-  virtual ~Shard() = default;
-
-  virtual uint64_t num_rows() const = 0;
-
-  /// Tight bounds of the shard's points; the router prunes a shard when
-  /// this misses the query envelope. Empty for a rowless shard.
-  virtual const Box& bbox() const = 0;
-
-  /// Mutation epoch of one column — the cache-key ingredient that makes a
-  /// single-shard append invalidate by construction.
-  virtual Result<uint64_t> ColumnEpoch(const std::string& name) const = 0;
-
-  /// Process-unique identity of the shard's current column-version set.
-  /// A live append publishes a NEW table version for the shard, so the
-  /// token changes exactly when the shard's data does; router cache keys
-  /// embed it per shard for precise invalidation.
-  virtual uint64_t VersionToken() const = 0;
-
-  /// Exact spatial selection local to this shard: ascending local row ids
-  /// plus the shard's filter/refine stats and profile.
-  virtual Result<SelectionResult> Select(
-      const Geometry& geometry, double buffer,
-      const std::vector<AttributeRange>& thematic) = 0;
-
-  /// Local column values for merge-side aggregation and projection.
-  virtual Result<ColumnPtr> GetColumn(const std::string& name) const = 0;
-
-  /// Imprint storage currently held for this shard.
-  virtual uint64_t IndexStorageBytes() const = 0;
-};
-
 /// In-process shard: wraps a ShardSlice's table with a SpatialQueryEngine
-/// that shares the router's thread pool and never consults the query
-/// result cache (caching happens once, at the router, over merged global
-/// results). When the slice was loaded from disk, imprint sidecars live
-/// in the shard's own directory next to its column files.
-class LocalShard final : public Shard {
+/// that executes on a borrowed morsel pool (the one pool of its point
+/// cloud). The engine carries the point cloud's result-cache binding; its
+/// keys embed the slice table's id and column epochs, so an append that
+/// replaces this shard invalidates exactly this shard's entries. When the
+/// slice has a directory, imprint sidecars live there next to its column
+/// files.
+class LocalShard {
  public:
-  /// `options` is the router's engine configuration; the cache binding is
-  /// stripped and the imprints sidecar dir is pointed at `slice.dir`.
-  LocalShard(const ShardSlice& slice, const EngineOptions& options,
-             const std::string& x_column, const std::string& y_column,
-             ThreadPool* pool);
-
-  /// Replacement-shard constructor for live appends: shares the retired
-  /// shard's (pre-configured) imprint manager, so the appended columns
+  /// `options` is the point cloud's engine configuration; the imprints
+  /// sidecar dir is pointed at `slice.dir`. A non-null `imprints` is an
+  /// existing, pre-configured manager to share: a replacement shard after
+  /// an append, or a live table's epoch shard. Appended columns then
   /// extend their lineage base's imprints incrementally instead of
-  /// rebuilding, and untouched columns keep their index for free.
+  /// rebuilding, and untouched columns keep their index.
   LocalShard(const ShardSlice& slice, const EngineOptions& options,
              const std::string& x_column, const std::string& y_column,
-             ThreadPool* pool, std::shared_ptr<ImprintManager> imprints);
+             ThreadPool* pool,
+             std::shared_ptr<ImprintManager> imprints = nullptr);
 
-  uint64_t num_rows() const override { return table_->num_rows(); }
-  const Box& bbox() const override { return bbox_; }
-  Result<uint64_t> ColumnEpoch(const std::string& name) const override;
-  uint64_t VersionToken() const override { return table_->table_id(); }
-  Result<SelectionResult> Select(
-      const Geometry& geometry, double buffer,
-      const std::vector<AttributeRange>& thematic) override;
-  Result<ColumnPtr> GetColumn(const std::string& name) const override;
-  uint64_t IndexStorageBytes() const override {
-    return engine_.IndexStorageBytes();
+  uint64_t num_rows() const { return table_->num_rows(); }
+
+  /// Tight bounds of the shard's points, which the view prunes against.
+  /// Empty for a rowless shard and for a wrapped flat table, whose one
+  /// shard is never pruned.
+  const Box& bbox() const { return bbox_; }
+
+  const std::shared_ptr<FlatTable>& table() const { return table_; }
+  Result<ColumnPtr> GetColumn(const std::string& name) const {
+    return table_->GetColumn(name);
   }
 
   SpatialQueryEngine& engine() { return engine_; }
 
-  /// The shard's imprint manager, for hand-off to a replacement shard.
-  const std::shared_ptr<ImprintManager>& imprint_manager_ptr() const {
-    return engine_.imprint_manager_ptr();
-  }
-
  private:
-  static EngineOptions ShardOptions(const EngineOptions& options,
-                                    const std::string& dir);
-
   std::shared_ptr<FlatTable> table_;
   Box bbox_;
   SpatialQueryEngine engine_;

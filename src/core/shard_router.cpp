@@ -5,24 +5,16 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <thread>
 
 #include "columns/column_file.h"
 #include "columns/types.h"
 #include "sfc/hilbert.h"
 #include "telemetry/heat.h"
 #include "telemetry/metrics.h"
-#include "util/timer.h"
 
 namespace geocol {
 
 namespace {
-
-uint32_t EffectiveThreads(uint32_t requested) {
-  if (requested != 0) return requested;
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<uint32_t>(hw);
-}
 
 /// Index of the shard containing `row` given the base offsets.
 size_t ShardIndexFor(const std::vector<uint64_t>& bases, uint64_t row) {
@@ -63,21 +55,274 @@ void AccumulateRefineStats(const RefinementStats& in, RefinementStats* out) {
   out->workers = std::max(out->workers, in.workers);
 }
 
+/// One shard's outcome in a scatter.
+template <typename R>
+struct ShardBranch {
+  R result;
+  QueryProfile profile;
+  Status status;
+};
+
+/// Runs `run` over the `scanned` shards of `view` — on the view's pool
+/// when more than one — each inside its own shard.scan span, and returns
+/// the branches in `scanned` order. All shard engines share the pool, so
+/// morsels from different shards interleave freely.
+template <typename R, typename Fn>
+Result<std::vector<ShardBranch<R>>> Scatter(const ShardsView& view,
+                                            const std::vector<size_t>& scanned,
+                                            const Fn& run) {
+  std::vector<ShardBranch<R>> branches(scanned.size());
+  auto run_shard = [&](size_t j) {
+    const size_t s = scanned[j];
+    ShardBranch<R>& b = branches[j];
+    int32_t span = b.profile.OpenSpan("shard.scan");
+    b.profile.AddAttr(span, "shard", static_cast<uint64_t>(s));
+    Result<R> r = run(*view.shards[s]);
+    b.status = r.status();
+    if (!r.ok()) {
+      b.profile.CloseSpan(0, 0);
+      return;
+    }
+    b.result = std::move(*r);
+    b.profile.Append(b.result.profile);
+    char detail[64];
+    std::snprintf(detail, sizeof(detail), "shard %zu base=%llu", s,
+                  static_cast<unsigned long long>(view.bases[s]));
+    b.profile.CloseSpan(view.shards[s]->num_rows(), b.result.row_ids.size(),
+                        detail);
+  };
+  if (view.pool != nullptr && branches.size() > 1) {
+    view.pool->ParallelFor(branches.size(), run_shard);
+  } else {
+    for (size_t j = 0; j < branches.size(); ++j) run_shard(j);
+  }
+  for (const ShardBranch<R>& b : branches) {
+    GEOCOL_RETURN_NOT_OK(b.status);
+  }
+  return branches;
+}
+
+/// Bumps the routing counters and closes the shard.route span opened at
+/// `route_span` with the outcome as attributes.
+void CloseRoute(const ShardsView& view, int32_t route_span, size_t answered,
+                size_t covered, uint64_t rows_out, QueryProfile* profile) {
+  GEOCOL_METRIC_COUNTER(c_pruned, "geocol_shards_pruned_total");
+  GEOCOL_METRIC_COUNTER(c_scanned, "geocol_shards_scanned_total");
+  GEOCOL_METRIC_COUNTER(c_covered, "geocol_shards_covered_total");
+  // Covered shards count as scanned in the headline counters (they were
+  // answered, not skipped), and separately in the covered counter.
+  const size_t total = view.shards.size();
+  c_scanned.Increment(answered);
+  c_pruned.Increment(total - answered);
+  c_covered.Increment(covered);
+  char detail[96];
+  std::snprintf(detail, sizeof(detail),
+                "scanned %zu/%zu shards (%zu pruned, %zu covered)", answered,
+                total, total - answered, covered);
+  profile->CloseSpan(view.total_rows, rows_out, detail);
+  profile->AddAttr(route_span, "shards_total", static_cast<uint64_t>(total));
+  profile->AddAttr(route_span, "shards_scanned",
+                   static_cast<uint64_t>(answered));
+  profile->AddAttr(route_span, "shards_pruned",
+                   static_cast<uint64_t>(total - answered));
+  profile->AddAttr(route_span, "shards_covered",
+                   static_cast<uint64_t>(covered));
+}
+
 }  // namespace
+
+Result<Box> ShardsView::Extent() const {
+  if (shards.size() == 1) {
+    const FlatTable& table = *shards[0]->table();
+    GEOCOL_ASSIGN_OR_RETURN(ColumnPtr xc, table.GetColumn("x"));
+    GEOCOL_ASSIGN_OR_RETURN(ColumnPtr yc, table.GetColumn("y"));
+    return Box(xc->Stats().min, yc->Stats().min, xc->Stats().max,
+               yc->Stats().max);
+  }
+  Box out;
+  for (const auto& shard : shards) out.Extend(shard->bbox());
+  return out;
+}
+
+void ShardsView::set_cache_budget(uint64_t budget_bytes) const {
+  for (const auto& shard : shards) {
+    shard->engine().set_cache_budget(budget_bytes);
+  }
+}
+
+Result<SelectionResult> ShardsView::Select(
+    const Geometry& geometry, double buffer,
+    const std::vector<AttributeRange>& thematic) const {
+  if (shards.size() == 1) {
+    return shards[0]->engine().Select(geometry, buffer, thematic);
+  }
+  SelectionResult result;
+  if (total_rows == 0) return result;
+  Box env = geometry.Envelope();
+  if (buffer > 0) env = env.Expanded(buffer);
+  if (env.empty()) return result;
+
+  // ---- Prune: classify every shard against the query envelope before
+  // any imprint is consulted or built. Three outcomes:
+  //   pruned  — bbox misses the envelope; the shard contributes nothing.
+  //   covered — a box query without thematic filters fully contains the
+  //             shard's bbox, so every row qualifies (bbox-as-zonemap):
+  //             its full id range goes straight into the merged result.
+  //             A buffer only enlarges the qualifying region, so the raw
+  //             box decides.
+  //   scanned — everything else runs the shard engine's filter + refine.
+  const bool coverable = thematic.empty() && geometry.is_box();
+  struct ShardWork {
+    size_t shard;
+    int32_t branch;  ///< index into the scatter branches; -1 = covered
+  };
+  std::vector<ShardWork> work;
+  std::vector<size_t> scanned;
+  size_t num_covered = 0;
+  for (size_t i = 0; i < shards.size(); ++i) {
+    const Box& bbox = shards[i]->bbox();
+    if (!bbox.Intersects(env)) continue;
+    if (coverable && geometry.box().Contains(bbox)) {
+      work.push_back({i, -1});
+      ++num_covered;
+    } else {
+      work.push_back({i, static_cast<int32_t>(scanned.size())});
+      scanned.push_back(i);
+    }
+  }
+
+  int32_t route_span = result.profile.OpenSpan("shard.route");
+  GEOCOL_ASSIGN_OR_RETURN(
+      auto branches,
+      Scatter<SelectionResult>(*this, scanned, [&](LocalShard& shard) {
+        return shard.engine().Select(geometry, buffer, thematic);
+      }));
+
+  // ---- Gather: merge in shard order. Shards are contiguous runs of the
+  // Hilbert-sorted row space, so base-offset local ids (or a covered
+  // shard's whole id range) in shard order are the ascending global ids
+  // the unsharded engine over the sorted table produces.
+  uint64_t merged = 0;
+  for (const ShardWork& w : work) {
+    merged += w.branch < 0 ? shards[w.shard]->num_rows()
+                           : branches[w.branch].result.row_ids.size();
+  }
+  result.row_ids.resize(merged);
+  uint64_t* out = result.row_ids.data();
+  for (const ShardWork& w : work) {
+    const uint64_t base = bases[w.shard];
+    if (w.branch < 0) {
+      const uint64_t rows = shards[w.shard]->num_rows();
+      for (uint64_t r = 0; r < rows; ++r) out[r] = base + r;
+      out += rows;
+      int32_t span = result.profile.Add("shard.covered", 0, rows, rows);
+      result.profile.AddAttr(span, "shard", static_cast<uint64_t>(w.shard));
+      telemetry::TouchShardHeat(name, static_cast<uint32_t>(w.shard),
+                                /*covered=*/true, rows);
+      continue;
+    }
+    const ShardBranch<SelectionResult>& b = branches[w.branch];
+    const std::vector<uint64_t>& in = b.result.row_ids;
+    for (size_t i = 0; i < in.size(); ++i) out[i] = base + in[i];
+    out += in.size();
+    telemetry::TouchShardHeat(name, static_cast<uint32_t>(w.shard),
+                              /*covered=*/false, in.size());
+    result.profile.Append(b.profile);
+    if (branches.size() == 1 && num_covered == 0) {
+      result.filter_x = b.result.filter_x;
+      result.filter_y = b.result.filter_y;
+      result.refine = b.result.refine;
+    } else {
+      AccumulateFilterStats(b.result.filter_x, &result.filter_x);
+      AccumulateFilterStats(b.result.filter_y, &result.filter_y);
+      AccumulateRefineStats(b.result.refine, &result.refine);
+    }
+  }
+  CloseRoute(*this, route_span, work.size(), num_covered,
+             result.row_ids.size(), &result.profile);
+  return result;
+}
+
+Result<NearSelection> ShardsView::SelectNear(
+    const std::vector<const Geometry*>& features, double distance,
+    const std::vector<AttributeRange>& ranges) const {
+  if (shards.size() == 1) {
+    return shards[0]->engine().SelectNear(features, distance, ranges);
+  }
+  NearSelection result;
+  if (total_rows == 0 || features.empty()) return result;
+  // A shard joins when its bbox meets some feature's buffered envelope.
+  std::vector<Box> envelopes;
+  envelopes.reserve(features.size());
+  for (const Geometry* g : features) {
+    Box env = g->Envelope();
+    envelopes.push_back(distance > 0 ? env.Expanded(distance) : env);
+  }
+  std::vector<size_t> scanned;
+  for (size_t i = 0; i < shards.size(); ++i) {
+    const Box& bbox = shards[i]->bbox();
+    if (std::any_of(envelopes.begin(), envelopes.end(),
+                    [&](const Box& env) { return bbox.Intersects(env); })) {
+      scanned.push_back(i);
+    }
+  }
+
+  int32_t route_span = result.profile.OpenSpan("shard.route");
+  GEOCOL_ASSIGN_OR_RETURN(
+      auto branches,
+      Scatter<NearSelection>(*this, scanned, [&](LocalShard& shard) {
+        return shard.engine().SelectNear(features, distance, ranges);
+      }));
+  // Gather in shard order; a feature that matched in several shards
+  // counts once.
+  std::vector<bool> matched(features.size(), false);
+  for (size_t j = 0; j < scanned.size(); ++j) {
+    const ShardBranch<NearSelection>& b = branches[j];
+    const uint64_t base = bases[scanned[j]];
+    for (uint64_t r : b.result.row_ids) result.row_ids.push_back(base + r);
+    for (uint32_t f : b.result.matched_features) matched[f] = true;
+    telemetry::TouchShardHeat(name, static_cast<uint32_t>(scanned[j]),
+                              /*covered=*/false, b.result.row_ids.size());
+    result.profile.Append(b.profile);
+  }
+  for (uint32_t f = 0; f < matched.size(); ++f) {
+    if (matched[f]) result.matched_features.push_back(f);
+  }
+  CloseRoute(*this, route_span, scanned.size(), 0, result.row_ids.size(),
+             &result.profile);
+  return result;
+}
+
+Result<double> ShardsView::Aggregate(
+    const Geometry& geometry, double buffer,
+    const std::vector<AttributeRange>& thematic, const std::string& column,
+    AggKind kind) const {
+  if (shards.size() == 1) {
+    return shards[0]->engine().Aggregate(geometry, buffer, thematic, column,
+                                         kind);
+  }
+  GEOCOL_ASSIGN_OR_RETURN(SelectionResult sel,
+                          Select(geometry, buffer, thematic));
+  if (kind == AggKind::kCount) {
+    return static_cast<double>(sel.row_ids.size());
+  }
+  GEOCOL_ASSIGN_OR_RETURN(ShardedColumnReader reader,
+                          ShardedColumnReader::Make(*this, column));
+  return reader.Aggregate(sel.row_ids, kind, pool.get());
+}
 
 ShardRouter::ShardRouter(std::shared_ptr<ShardedTable> table,
                          EngineOptions options)
-    : table_(std::move(table)), options_(options) {
-  uint32_t threads = EffectiveThreads(options_.num_threads);
-  if (threads > 1) {
-    // The calling thread participates in every parallel loop, so the pool
-    // only needs threads-1 workers. Shard engines borrow this pool;
-    // nested ParallelFor (scatter over shards, morsels within a shard) is
-    // safe and keeps all workers busy.
-    pool_ = std::make_unique<ThreadPool>(threads - 1);
-  }
-  shards_.reserve(table_->num_shards());
-  bases_.reserve(table_->num_shards());
+    : table_(std::move(table)),
+      // Shard engines borrow this pool; nested ParallelFor (scatter over
+      // shards, morsels within a shard) is safe and keeps all workers
+      // busy.
+      pool_(MakeQueryPool(options.num_threads)) {
+  auto view = std::make_shared<ShardsView>();
+  view->total_rows = table_->num_rows();
+  view->generation = table_->generation();
+  view->name = table_->name();
+  view->pool = pool_;
   start_keys_.reserve(table_->num_shards());
   // Routing keys for live appends: shard i owns Hilbert keys in
   // [start_keys_[i], start_keys_[i+1]). The first row of a shard is the
@@ -88,9 +333,9 @@ ShardRouter::ShardRouter(std::shared_ptr<ShardedTable> table,
   uint64_t prev_key = 0;
   for (size_t i = 0; i < table_->num_shards(); ++i) {
     const ShardSlice& slice = table_->shard(i);
-    bases_.push_back(slice.base);
-    shards_.push_back(std::make_shared<LocalShard>(
-        slice, options_, table_->x_column(), table_->y_column(),
+    view->bases.push_back(slice.base);
+    view->shards.push_back(std::make_shared<LocalShard>(
+        slice, options, table_->x_column(), table_->y_column(),
         pool_.get()));
     uint64_t key = prev_key;
     if (i > 0 && slice.table->num_rows() > 0) {
@@ -106,348 +351,12 @@ ShardRouter::ShardRouter(std::shared_ptr<ShardedTable> table,
     start_keys_.push_back(i == 0 ? 0 : key);
     prev_key = start_keys_.back();
   }
-  cache_owner_ = options_.cache.instance;
-  set_cache_budget(options_.cache.budget_bytes);
+  view_ = std::move(view);
 }
 
-Schema ShardRouter::schema() const {
-  std::shared_lock<std::shared_mutex> lock(shards_mu_);
-  return table_->schema();
-}
-
-ShardsView ShardRouter::View() const {
-  std::shared_lock<std::shared_mutex> lock(shards_mu_);
-  ShardsView view;
-  view.shards = shards_;
-  view.bases = bases_;
-  view.total_rows = table_->num_rows();
-  view.version = view_version_;
-  return view;
-}
-
-void ShardRouter::set_cache_budget(uint64_t budget_bytes) {
-  if (budget_bytes == options_.cache.budget_bytes &&
-      (budget_bytes == 0) == (cache_ == nullptr)) {
-    return;
-  }
-  options_.cache.budget_bytes = budget_bytes;
-  if (budget_bytes == 0) {
-    cache_ = nullptr;
-    return;
-  }
-  cache_ = cache_owner_ != nullptr ? cache_owner_.get()
-                                   : &cache::QueryResultCache::Global();
-  cache_->GrowBudget(budget_bytes);
-}
-
-uint64_t ShardRouter::IndexStorageBytes() const {
-  ShardsView view = View();
-  uint64_t total = 0;
-  for (const auto& shard : view.shards) total += shard->IndexStorageBytes();
-  return total;
-}
-
-Result<std::string> ShardRouter::SelectionKey(
-    const ShardsView& view, const Geometry& geometry, double buffer,
-    const std::vector<AttributeRange>& thematic) const {
-  cache::KeyBuilder kb("ssel");
-  // The pinned shard set: a re-shard produces a new layout id, an append
-  // publishes a new table version for each affected shard (fresh version
-  // token) and shifts the bases of the shards behind it — either way the
-  // key changes and stale entries age out by construction.
-  kb.AppendU64(table_->layout_id());
-  kb.AppendU32(static_cast<uint32_t>(view.shards.size()));
-  kb.Append(table_->x_column());
-  kb.Append(table_->y_column());
-  for (size_t i = 0; i < view.shards.size(); ++i) {
-    const auto& shard = view.shards[i];
-    kb.AppendU64(shard->VersionToken());
-    kb.AppendU64(view.bases[i]);
-    GEOCOL_ASSIGN_OR_RETURN(uint64_t xe,
-                            shard->ColumnEpoch(table_->x_column()));
-    GEOCOL_ASSIGN_OR_RETURN(uint64_t ye,
-                            shard->ColumnEpoch(table_->y_column()));
-    kb.AppendU64(xe);
-    kb.AppendU64(ye);
-  }
-  kb.AppendGeometry(geometry);
-  kb.AppendDouble(buffer);
-  kb.AppendU64(thematic.size());
-  for (const AttributeRange& attr : thematic) {
-    kb.Append(attr.column);
-    for (const auto& shard : view.shards) {
-      GEOCOL_ASSIGN_OR_RETURN(uint64_t e, shard->ColumnEpoch(attr.column));
-      kb.AppendU64(e);
-    }
-    kb.AppendDouble(attr.lo);
-    kb.AppendDouble(attr.hi);
-  }
-  // Result-shaping knobs, mirroring the engine's selection key.
-  kb.AppendU32(options_.use_imprints ? 1u : 0u);
-  kb.AppendU32(num_effective_threads());
-  kb.AppendU32(options_.imprints.max_bins);
-  kb.AppendU32(options_.imprints.sample_size);
-  kb.AppendU64(options_.imprints.seed);
-  kb.AppendU32(options_.imprints.cacheline_bytes);
-  kb.AppendU64(options_.refine.target_points_per_cell);
-  kb.AppendU32(options_.refine.max_cells_per_axis);
-  kb.AppendU32(options_.refine.use_grid ? 1u : 0u);
-  return kb.Take();
-}
-
-Result<SelectionResult> ShardRouter::SelectInBox(const Box& box) {
-  return Execute(View(), Geometry(box), 0.0, {});
-}
-
-Result<SelectionResult> ShardRouter::SelectInGeometry(
-    const Geometry& geometry) {
-  return Execute(View(), geometry, 0.0, {});
-}
-
-Result<SelectionResult> ShardRouter::Select(
-    const Geometry& geometry, double buffer,
-    const std::vector<AttributeRange>& thematic) {
-  return Execute(View(), geometry, buffer, thematic);
-}
-
-Result<SelectionResult> ShardRouter::Select(
-    const ShardsView& view, const Geometry& geometry, double buffer,
-    const std::vector<AttributeRange>& thematic) {
-  return Execute(view, geometry, buffer, thematic);
-}
-
-Result<SelectionResult> ShardRouter::Execute(
-    const ShardsView& view, const Geometry& geometry, double buffer,
-    const std::vector<AttributeRange>& thematic) {
-  SelectionResult result;
-  const uint64_t total_rows = view.total_rows;
-  if (total_rows == 0) return result;
-
-  Box env = geometry.Envelope();
-  if (buffer > 0) env = env.Expanded(buffer);
-  if (env.empty()) return result;
-
-  Timer query_timer;
-
-  // ---- Cache tier (a): an exact repeat against this exact shard set
-  // replays the merged row ids and stats.
-  std::string cache_key;
-  if (cache_ != nullptr) {
-    GEOCOL_ASSIGN_OR_RETURN(cache_key,
-                            SelectionKey(view, geometry, buffer, thematic));
-    if (auto hit = cache_->LookupSelection(cache_key)) {
-      result.row_ids = hit->row_ids;
-      result.filter_x = hit->filter_x;
-      result.filter_y = hit->filter_y;
-      result.refine = hit->refine;
-      int32_t span =
-          result.profile.Add("cache.hit", query_timer.ElapsedNanos(),
-                             total_rows, result.row_ids.size());
-      result.profile.AddAttr(span, "cache_hit", "selection");
-      return result;
-    }
-  }
-  auto store_selection = [&]() {
-    if (cache_ == nullptr) return;
-    if (!cache_->ShouldAdmit(cache::Tier::kSelection, cache_key,
-                             result.row_ids.size() * sizeof(uint64_t))) {
-      return;
-    }
-    auto value = std::make_shared<cache::CachedSelection>();
-    value->row_ids = result.row_ids;
-    value->filter_x = result.filter_x;
-    value->filter_y = result.filter_y;
-    value->refine = result.refine;
-    cache_->InsertSelection(cache_key, std::move(value));
-  };
-
-  // ---- Prune: classify every shard against the query envelope before
-  // any imprint is consulted or built. Three outcomes:
-  //   pruned  — bbox misses the envelope; the shard contributes nothing.
-  //   covered — an unbuffered-equivalent box query fully contains the
-  //             shard's bbox and there are no thematic filters, so every
-  //             row qualifies (bbox-as-zonemap): the shard's full id range
-  //             is written straight into the merged result without
-  //             touching a single column. A covered shard contributes no
-  //             filter/refine stats — nothing was scanned.
-  //   scanned — everything else runs the shard engine's filter + refine.
-  // Pruning is the headline win of sharding: a clustered viewport query
-  // touches a handful of shards and never allocates whole-table state.
-  GEOCOL_METRIC_COUNTER(c_pruned, "geocol_shards_pruned_total");
-  GEOCOL_METRIC_COUNTER(c_scanned, "geocol_shards_scanned_total");
-  GEOCOL_METRIC_COUNTER(c_covered, "geocol_shards_covered_total");
-  // A box with a positive buffer covers a shard iff the raw box does (the
-  // buffer only enlarges the qualifying region).
-  const bool coverable = thematic.empty() && geometry.is_box();
-  struct ShardWork {
-    size_t shard;
-    int32_t branch;  ///< index into branches, or -1 for a covered shard
-  };
-  std::vector<ShardWork> work;
-  std::vector<size_t> scanned;
-  size_t num_covered = 0;
-  work.reserve(view.shards.size());
-  scanned.reserve(view.shards.size());
-  for (size_t i = 0; i < view.shards.size(); ++i) {
-    const Box& bbox = view.shards[i]->bbox();
-    if (!bbox.Intersects(env)) continue;
-    if (coverable && geometry.box().Contains(bbox)) {
-      work.push_back({i, -1});
-      ++num_covered;
-    } else {
-      work.push_back({i, static_cast<int32_t>(scanned.size())});
-      scanned.push_back(i);
-    }
-  }
-  // Covered shards count as scanned in the headline counters (they were
-  // answered, not skipped), and separately in the covered counter.
-  c_scanned.Increment(work.size());
-  c_pruned.Increment(view.shards.size() - work.size());
-  c_covered.Increment(num_covered);
-
-  int32_t route_span = result.profile.OpenSpan("shard.route");
-
-  // ---- Scatter: each surviving shard runs its own two-step filter +
-  // refine into branch-local state; all shard engines share one pool, so
-  // morsels from different shards interleave freely.
-  struct ShardBranch {
-    SelectionResult sel;
-    QueryProfile profile;
-    Status status;
-  };
-  std::vector<ShardBranch> branches(scanned.size());
-  auto run_shard = [&](size_t j) {
-    const size_t s = scanned[j];
-    ShardBranch& b = branches[j];
-    int32_t span = b.profile.OpenSpan("shard.scan");
-    b.profile.AddAttr(span, "shard", static_cast<uint64_t>(s));
-    auto r = view.shards[s]->Select(geometry, buffer, thematic);
-    b.status = r.status();
-    if (r.ok()) {
-      b.sel = std::move(*r);
-      b.profile.Append(b.sel.profile);
-      char detail[64];
-      std::snprintf(detail, sizeof(detail), "shard %zu base=%llu", s,
-                    static_cast<unsigned long long>(view.bases[s]));
-      b.profile.CloseSpan(view.shards[s]->num_rows(), b.sel.row_ids.size(),
-                          detail);
-    } else {
-      b.profile.CloseSpan(0, 0);
-    }
-  };
-  if (pool_ != nullptr && branches.size() > 1) {
-    pool_->ParallelFor(branches.size(), run_shard);
-  } else {
-    for (size_t j = 0; j < branches.size(); ++j) run_shard(j);
-  }
-  for (const ShardBranch& b : branches) {
-    GEOCOL_RETURN_NOT_OK(b.status);
-  }
-
-  // ---- Gather: merge in shard order. Shards are contiguous runs of the
-  // Hilbert-sorted row space, so emitting base-offset local ids (or, for a
-  // covered shard, the shard's whole id range) in shard order yields the
-  // ascending global id list the unsharded engine over the sorted table
-  // produces. Stats: a single scanned shard's stats pass through verbatim
-  // (making K = 1 bit-identical to unsharded as long as the query didn't
-  // cover the shard); multiple shards merge field-wise in shard order;
-  // covered shards contribute nothing.
-  uint64_t merged = 0;
-  for (const ShardWork& w : work) {
-    merged += w.branch < 0 ? view.shards[w.shard]->num_rows()
-                           : branches[w.branch].sel.row_ids.size();
-  }
-  result.row_ids.resize(merged);
-  uint64_t* out = result.row_ids.data();
-  for (const ShardWork& w : work) {
-    const uint64_t base = view.bases[w.shard];
-    if (w.branch < 0) {
-      const uint64_t rows = view.shards[w.shard]->num_rows();
-      for (uint64_t r = 0; r < rows; ++r) out[r] = base + r;
-      out += rows;
-      int32_t span = result.profile.Add("shard.covered", 0, rows, rows);
-      result.profile.AddAttr(span, "shard",
-                             static_cast<uint64_t>(w.shard));
-      telemetry::TouchShardHeat(table_->name(),
-                                static_cast<uint32_t>(w.shard),
-                                /*covered=*/true, rows);
-      continue;
-    }
-    const ShardBranch& b = branches[w.branch];
-    const uint64_t* in = b.sel.row_ids.data();
-    const size_t n = b.sel.row_ids.size();
-    for (size_t i = 0; i < n; ++i) out[i] = base + in[i];
-    out += n;
-    telemetry::TouchShardHeat(table_->name(),
-                              static_cast<uint32_t>(w.shard),
-                              /*covered=*/false, n);
-    result.profile.Append(b.profile);
-    if (branches.size() == 1 && num_covered == 0) {
-      result.filter_x = b.sel.filter_x;
-      result.filter_y = b.sel.filter_y;
-      result.refine = b.sel.refine;
-    } else {
-      AccumulateFilterStats(b.sel.filter_x, &result.filter_x);
-      AccumulateFilterStats(b.sel.filter_y, &result.filter_y);
-      AccumulateRefineStats(b.sel.refine, &result.refine);
-    }
-  }
-  char detail[96];
-  std::snprintf(detail, sizeof(detail),
-                "scanned %zu/%zu shards (%zu pruned, %zu covered)",
-                work.size(), view.shards.size(),
-                view.shards.size() - work.size(), num_covered);
-  result.profile.CloseSpan(total_rows, result.row_ids.size(), detail);
-  result.profile.AddAttr(route_span, "shards_total",
-                         static_cast<uint64_t>(view.shards.size()));
-  result.profile.AddAttr(route_span, "shards_scanned",
-                         static_cast<uint64_t>(work.size()));
-  result.profile.AddAttr(route_span, "shards_pruned",
-                         static_cast<uint64_t>(view.shards.size() -
-                                               work.size()));
-  result.profile.AddAttr(route_span, "shards_covered",
-                         static_cast<uint64_t>(num_covered));
-  store_selection();
-  return result;
-}
-
-Result<double> ShardRouter::Aggregate(
-    const Geometry& geometry, double buffer,
-    const std::vector<AttributeRange>& thematic, const std::string& column,
-    AggKind kind) {
-  // One view pins the whole operation: the key, the selection and the
-  // per-shard value reads all see the same shard set even while appends
-  // publish.
-  ShardsView view = View();
-  // Cache tier (c): selection key + the aggregated column's per-shard
-  // epochs + the aggregate kind. COUNT falls out of tier (a).
-  std::string agg_key;
-  if (cache_ != nullptr && kind != AggKind::kCount) {
-    GEOCOL_ASSIGN_OR_RETURN(std::string sel_key,
-                            SelectionKey(view, geometry, buffer, thematic));
-    cache::KeyBuilder kb("agg");
-    kb.Append(sel_key);
-    kb.Append(column);
-    for (const auto& shard : view.shards) {
-      GEOCOL_ASSIGN_OR_RETURN(uint64_t e, shard->ColumnEpoch(column));
-      kb.AppendU64(e);
-    }
-    kb.AppendU32(static_cast<uint32_t>(kind));
-    agg_key = kb.Take();
-    double cached;
-    if (cache_->LookupAggregate(agg_key, &cached)) return cached;
-  }
-  GEOCOL_ASSIGN_OR_RETURN(SelectionResult sel,
-                          Execute(view, geometry, buffer, thematic));
-  if (kind == AggKind::kCount) {
-    return static_cast<double>(sel.row_ids.size());
-  }
-  GEOCOL_ASSIGN_OR_RETURN(ShardedColumnReader reader,
-                          ShardedColumnReader::Make(view, column));
-  GEOCOL_ASSIGN_OR_RETURN(double value,
-                          reader.Aggregate(sel.row_ids, kind, pool_.get()));
-  if (cache_ != nullptr) cache_->InsertAggregate(agg_key, value);
-  return value;
+std::shared_ptr<const ShardsView> ShardRouter::View() const {
+  std::lock_guard<std::mutex> lock(view_mu_);
+  return view_;
 }
 
 Status ShardRouter::Append(const FlatTable& batch) {
@@ -458,11 +367,11 @@ Status ShardRouter::Append(const FlatTable& batch) {
   GEOCOL_METRIC_COUNTER(c_shards, "geocol_shard_append_shards_total");
 
   // One appender at a time; routing and the COW column builds below run
-  // outside shards_mu_, so in-flight queries never wait on an append.
-  // table_'s slices are only mutated by this function (under the view
-  // lock), so reading them here — holding append_mu_ — is stable.
+  // outside view_mu_, so in-flight queries never wait on an append.
+  // table_'s slices and view_ only change in this function, so reading
+  // them here — holding append_mu_ — is stable.
   std::lock_guard<std::mutex> append_lock(append_mu_);
-  if (!(batch.schema() == table_->schema())) {
+  if (!(batch.schema() == view_->schema())) {
     return Status::InvalidArgument("batch schema differs from sharded table");
   }
   GEOCOL_ASSIGN_OR_RETURN(ColumnPtr bx, batch.GetColumn(table_->x_column()));
@@ -574,45 +483,37 @@ Status ShardRouter::Append(const FlatTable& batch) {
 
   // ---- Publish: build the replacement shard handles (sharing each
   // retired shard's imprint manager, so appended columns extend their
-  // lineage base's imprints incrementally), then swap them in under the
-  // view lock. Readers pinned to older views keep their shard set alive
-  // through the shared_ptrs; new views see the whole batch.
-  std::vector<std::shared_ptr<Shard>> replacements;
-  replacements.reserve(reps.size());
+  // lineage base's imprints incrementally, and its engine options, so the
+  // cache binding carries over) into a NEW view. Readers pinned to older
+  // views keep their shard set alive through the shared_ptrs; new views
+  // see the whole batch.
+  auto next = std::make_shared<ShardsView>(*view_);
   for (const Replacement& rep : reps) {
-    // The router only ever builds LocalShards (the remote evolution would
-    // route appends very differently), so the downcast is structural.
-    auto old = std::static_pointer_cast<LocalShard>(shards_[rep.shard]);
-    ShardSlice next;
-    next.table = rep.table;
-    next.bbox = rep.bbox;
-    next.dir = rep.dir.empty() ? table_->shard(rep.shard).dir : rep.dir;
-    replacements.push_back(std::make_shared<LocalShard>(
-        next, options_, table_->x_column(), table_->y_column(), pool_.get(),
-        old->imprint_manager_ptr()));
+    ShardSlice& slice = table_->shards()[rep.shard];
+    slice.table = rep.table;
+    slice.bbox = rep.bbox;
+    if (!rep.dir.empty()) slice.dir = rep.dir;
+    SpatialQueryEngine& old = next->shards[rep.shard]->engine();
+    next->shards[rep.shard] = std::make_shared<LocalShard>(
+        slice, old.options(), table_->x_column(), table_->y_column(),
+        pool_.get(), old.imprint_manager_ptr());
   }
+  // Appending to shard i shifts the global base of every shard after it;
+  // rebase the whole run. Pinned views keep their own bases.
+  uint64_t base = 0;
+  for (size_t s = 0; s < next->shards.size(); ++s) {
+    table_->shards()[s].base = base;
+    next->bases[s] = base;
+    base += next->shards[s]->num_rows();
+  }
+  table_->set_num_rows(base);
+  if (persisted) table_->set_generation(new_gen);
+  next->total_rows = base;
+  next->generation = table_->generation();
+  ++next->version;
   {
-    std::unique_lock<std::shared_mutex> lock(shards_mu_);
-    for (size_t i = 0; i < reps.size(); ++i) {
-      const Replacement& rep = reps[i];
-      ShardSlice& slice = table_->shards()[rep.shard];
-      slice.table = rep.table;
-      slice.bbox = rep.bbox;
-      if (!rep.dir.empty()) slice.dir = rep.dir;
-      shards_[rep.shard] = replacements[i];
-    }
-    // Appending to shard i shifts the global base of every shard after
-    // it; rebase the whole run. Pinned views keep their own bases.
-    uint64_t base = 0;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      ShardSlice& slice = table_->shards()[s];
-      slice.base = base;
-      bases_[s] = base;
-      base += slice.table->num_rows();
-    }
-    table_->set_num_rows(base);
-    if (persisted) table_->set_generation(new_gen);
-    ++view_version_;
+    std::lock_guard<std::mutex> lock(view_mu_);
+    view_ = std::move(next);
   }
 
   c_commits.Increment();
@@ -630,15 +531,6 @@ Result<ShardedColumnReader> ShardedColumnReader::Make(
     reader.columns_.push_back(std::move(col));
   }
   reader.bases_ = view.bases;
-  return reader;
-}
-
-Result<ShardedColumnReader> ShardedColumnReader::Make(
-    const FlatTable& table, const std::string& column) {
-  ShardedColumnReader reader;
-  GEOCOL_ASSIGN_OR_RETURN(ColumnPtr col, table.GetColumn(column));
-  reader.columns_.push_back(std::move(col));
-  reader.bases_.push_back(0);
   return reader;
 }
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <span>
-#include <thread>
 
 #include "cache/chunk_cache.h"
 #include "columns/types.h"
@@ -14,12 +13,6 @@
 namespace geocol {
 
 namespace {
-
-uint32_t EffectiveThreads(uint32_t requested) {
-  if (requested != 0) return requested;
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<uint32_t>(hw);
-}
 
 // Bridges GridRefine's cell hook to cache tier (b). The key carries the
 // geometry bits plus the exact grid frame (extent, cols, rows) and no
@@ -119,29 +112,8 @@ SpatialQueryEngine::SpatialQueryEngine(std::shared_ptr<FlatTable> table,
       x_name_(std::move(x_column)),
       y_name_(std::move(y_column)),
       imprints_(std::make_shared<ImprintManager>(options.imprints)) {
-  uint32_t threads = EffectiveThreads(options_.num_threads);
-  if (threads > 1) {
-    // The calling thread participates in every parallel loop, so the pool
-    // only needs threads-1 workers.
-    owned_pool_ = std::make_unique<ThreadPool>(threads - 1);
-    pool_ = owned_pool_.get();
-  }
-  Init();
-}
-
-SpatialQueryEngine::SpatialQueryEngine(std::shared_ptr<FlatTable> table,
-                                       EngineOptions options,
-                                       std::string x_column,
-                                       std::string y_column,
-                                       ThreadPool* borrowed_pool)
-    : table_(std::move(table)),
-      options_(options),
-      x_name_(std::move(x_column)),
-      y_name_(std::move(y_column)),
-      imprints_(std::make_shared<ImprintManager>(options.imprints)),
-      pool_(borrowed_pool != nullptr && borrowed_pool->num_threads() > 0
-                ? borrowed_pool
-                : nullptr) {
+  owned_pool_ = MakeQueryPool(options_.num_threads);
+  pool_ = owned_pool_.get();
   Init();
 }
 
@@ -153,12 +125,13 @@ SpatialQueryEngine::SpatialQueryEngine(
       options_(options),
       x_name_(std::move(x_column)),
       y_name_(std::move(y_column)),
-      imprints_(std::move(shared_imprints)),
-      owns_imprints_(false),
+      imprints_(shared_imprints != nullptr
+                    ? shared_imprints
+                    : std::make_shared<ImprintManager>(options.imprints)),
+      owns_imprints_(shared_imprints == nullptr),
       pool_(borrowed_pool != nullptr && borrowed_pool->num_threads() > 0
                 ? borrowed_pool
                 : nullptr) {
-  assert(imprints_ != nullptr);
   Init();
 }
 
@@ -542,7 +515,7 @@ Result<NearSelection> SpatialQueryEngine::SelectNear(
                             SelectionKey("near", features, buffer, ranges));
     if (auto hit = cache_->LookupSelection(cache_key)) {
       result.row_ids = hit->row_ids;
-      result.features_matched = hit->features_matched;
+      result.matched_features = hit->matched_features;
       int32_t span =
           result.profile.Add("cache.hit", query_timer.ElapsedNanos(),
                              xcol->size(), result.row_ids.size());
@@ -596,7 +569,9 @@ Result<NearSelection> SpatialQueryEngine::SelectNear(
                                     &result.profile));
     for (uint64_t r : accepted) selected.Set(r);
     accepted_total += accepted.size();
-    if (!accepted.empty()) ++result.features_matched;
+    if (!accepted.empty()) {
+      result.matched_features.push_back(static_cast<uint32_t>(i));
+    }
     result.profile.CloseSpan(candidates, accepted.size());
   }
 
@@ -613,7 +588,7 @@ Result<NearSelection> SpatialQueryEngine::SelectNear(
                           result.row_ids.size() * sizeof(uint64_t))) {
     auto value = std::make_shared<cache::CachedSelection>();
     value->row_ids = result.row_ids;
-    value->features_matched = result.features_matched;
+    value->matched_features = result.matched_features;
     cache_->InsertSelection(cache_key, std::move(value));
   }
   h_query.Observe(query_timer.ElapsedNanos());

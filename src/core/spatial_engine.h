@@ -84,8 +84,12 @@ struct SelectionResult {
 /// Result of a NEAR selection (SpatialQueryEngine::SelectNear).
 struct NearSelection {
   std::vector<uint64_t> row_ids;  ///< ascending, unique qualifying row ids
-  uint64_t features_matched = 0;  ///< features that added at least one row
-  QueryProfile profile;           ///< near -> per-feature spans -> union
+  /// Ascending indices into the feature list of the features that added
+  /// at least one row.
+  std::vector<uint32_t> matched_features;
+  QueryProfile profile;  ///< near -> per-feature spans -> union
+
+  uint64_t features_matched() const { return matched_features.size(); }
 };
 
 /// Aggregates `column` over `rows`. kCount ignores the column. Resident
@@ -118,24 +122,21 @@ class SpatialQueryEngine {
 
   /// As above, but executes on `borrowed_pool` (not owned; nullptr runs
   /// serially) instead of creating a private pool from
-  /// `options.num_threads`. The shard router uses this so all shard
-  /// engines share one morsel pool.
-  SpatialQueryEngine(std::shared_ptr<FlatTable> table, EngineOptions options,
-                     std::string x_column, std::string y_column,
-                     ThreadPool* borrowed_pool);
-
-  /// As above, additionally sharing an existing imprint manager instead of
-  /// creating a private one. The live-table path hands every published
-  /// snapshot engine the same manager, so an epoch's imprints are built
-  /// once, survive across epochs for untouched columns, and appended
-  /// columns extend their lineage base's index incrementally. The manager
-  /// must already be configured (pool, sidecar dir) — this constructor
-  /// never mutates it, so hand-off races cannot occur with queries running
-  /// on older snapshots.
+  /// `options.num_threads`. Shard engines use this so all shards of a
+  /// point cloud share its one morsel pool.
+  ///
+  /// A non-null `shared_imprints` is an existing imprint manager to share
+  /// instead of creating a private one. A live table hands every published
+  /// epoch's shard engine the same manager, and an appended shard its
+  /// predecessor's, so imprints are built once, survive across versions
+  /// for untouched columns, and appended columns extend their lineage
+  /// base's index incrementally. The manager must already be configured
+  /// (pool, sidecar dir) — the engine never mutates it, so hand-off races
+  /// cannot occur with queries running on older versions.
   SpatialQueryEngine(std::shared_ptr<FlatTable> table, EngineOptions options,
                      std::string x_column, std::string y_column,
                      ThreadPool* borrowed_pool,
-                     std::shared_ptr<ImprintManager> shared_imprints);
+                     std::shared_ptr<ImprintManager> shared_imprints = nullptr);
 
   const FlatTable& table() const { return *table_; }
   const EngineOptions& options() const { return options_; }
@@ -252,12 +253,12 @@ class SpatialQueryEngine {
   EngineOptions options_;
   std::string x_name_, y_name_;
   std::shared_ptr<ImprintManager> imprints_;
-  /// False when imprints_ was injected pre-configured (live-table path);
+  /// False when imprints_ was injected pre-configured (a shared manager);
   /// Init() then leaves its pool/sidecar settings alone.
   bool owns_imprints_ = true;
   /// Pool this engine created for itself (the plain constructor); null
   /// when serial or when executing on a borrowed pool.
-  std::unique_ptr<ThreadPool> owned_pool_;
+  std::shared_ptr<ThreadPool> owned_pool_;
   /// Workers shared by all queries; null when running serially. The
   /// calling thread always participates in parallel loops, so the pool
   /// holds num_effective_threads() - 1 workers.

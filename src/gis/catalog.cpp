@@ -49,61 +49,70 @@ Status Catalog::AddPointCloud(const std::string& name,
                               std::shared_ptr<FlatTable> table,
                               EngineOptions options) {
   if (table == nullptr) return Status::InvalidArgument("null table");
-  if (NameTaken(name)) {
-    return Status::AlreadyExists("dataset '" + name + "' exists");
-  }
-  tables_[name] = table;
-  engines_[name] =
-      std::make_unique<SpatialQueryEngine>(std::move(table), options);
-  return Status::OK();
+  return AddShardedPointCloud(
+      name, ShardedTable::Wrap(std::move(table), options.imprints_dir),
+      options);
 }
 
 Status Catalog::AddShardedPointCloud(const std::string& name,
                                      std::shared_ptr<ShardedTable> table,
                                      EngineOptions options) {
   if (table == nullptr) return Status::InvalidArgument("null table");
-  if (NameTaken(name)) {
-    return Status::AlreadyExists("dataset '" + name + "' exists");
-  }
-  sharded_tables_[name] = table;
-  routers_[name] = std::make_unique<ShardRouter>(std::move(table), options);
-  return Status::OK();
+  GEOCOL_RETURN_NOT_OK(CheckNameFree(name));
+  auto router = std::make_shared<ShardRouter>(std::move(table), options);
+  return AddPointCloudView(name, [router] { return router->View(); });
 }
 
 Status Catalog::AddLivePointCloud(const std::string& name,
                                   std::shared_ptr<LiveTable> table) {
   if (table == nullptr) return Status::InvalidArgument("null live table");
-  if (NameTaken(name)) {
+  return AddPointCloudView(name, [table] { return table->Pin().view; });
+}
+
+Status Catalog::CheckNameFree(const std::string& name) const {
+  if (HasPointCloud(name) || HasLayer(name)) {
     return Status::AlreadyExists("dataset '" + name + "' exists");
   }
-  live_tables_[name] = std::move(table);
+  return Status::OK();
+}
+
+Status Catalog::AddPointCloudView(const std::string& name, PinView pin) {
+  GEOCOL_RETURN_NOT_OK(CheckNameFree(name));
+  point_clouds_[name] = std::move(pin);
   return Status::OK();
 }
 
 Status Catalog::AddLayer(std::shared_ptr<VectorLayer> layer) {
   if (layer == nullptr) return Status::InvalidArgument("null layer");
   const std::string& name = layer->name();
-  if (NameTaken(name)) {
-    return Status::AlreadyExists("dataset '" + name + "' exists");
-  }
+  GEOCOL_RETURN_NOT_OK(CheckNameFree(name));
   layers_[name] = std::move(layer);
   return Status::OK();
 }
 
-Result<SpatialQueryEngine*> Catalog::GetEngine(const std::string& name) {
-  auto it = engines_.find(name);
-  if (it == engines_.end()) {
+Result<std::shared_ptr<const ShardsView>> Catalog::View(
+    const std::string& name) const {
+  auto it = point_clouds_.find(name);
+  if (it == point_clouds_.end()) {
     return Status::NotFound("no point cloud '" + name + "'");
   }
-  return it->second.get();
+  return it->second();
 }
 
-Result<std::shared_ptr<FlatTable>> Catalog::GetTable(const std::string& name) {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) {
-    return Status::NotFound("no point cloud '" + name + "'");
+Result<std::shared_ptr<FlatTable>> Catalog::GetTable(
+    const std::string& name) const {
+  GEOCOL_ASSIGN_OR_RETURN(std::shared_ptr<const ShardsView> view, View(name));
+  if (view->shards.size() != 1) {
+    return Status::InvalidArgument("point cloud '" + name + "' has " +
+                                   std::to_string(view->shards.size()) +
+                                   " shards, not one table");
   }
-  return it->second;
+  return view->shards[0]->table();
+}
+
+Result<SpatialQueryEngine*> Catalog::GetEngine(const std::string& name) const {
+  GEOCOL_RETURN_NOT_OK(GetTable(name).status());
+  return View(name).value()->single_engine();
 }
 
 Result<std::shared_ptr<VectorLayer>> Catalog::GetLayer(
@@ -115,53 +124,15 @@ Result<std::shared_ptr<VectorLayer>> Catalog::GetLayer(
   return it->second;
 }
 
-Result<ShardRouter*> Catalog::GetRouter(const std::string& name) {
-  auto it = routers_.find(name);
-  if (it == routers_.end()) {
-    return Status::NotFound("no sharded point cloud '" + name + "'");
-  }
-  return it->second.get();
-}
-
-Result<std::shared_ptr<ShardedTable>> Catalog::GetShardedTable(
-    const std::string& name) {
-  auto it = sharded_tables_.find(name);
-  if (it == sharded_tables_.end()) {
-    return Status::NotFound("no sharded point cloud '" + name + "'");
-  }
-  return it->second;
-}
-
-Result<std::shared_ptr<LiveTable>> Catalog::GetLiveTable(
-    const std::string& name) {
-  auto it = live_tables_.find(name);
-  if (it == live_tables_.end()) {
-    return Status::NotFound("no live point cloud '" + name + "'");
-  }
-  return it->second;
-}
-
 std::vector<std::string> Catalog::PointCloudNames() const {
   std::vector<std::string> out;
-  for (const auto& [name, _] : engines_) out.push_back(name);
+  for (const auto& [name, _] : point_clouds_) out.push_back(name);
   return out;
 }
 
 std::vector<std::string> Catalog::LayerNames() const {
   std::vector<std::string> out;
   for (const auto& [name, _] : layers_) out.push_back(name);
-  return out;
-}
-
-std::vector<std::string> Catalog::ShardedPointCloudNames() const {
-  std::vector<std::string> out;
-  for (const auto& [name, _] : routers_) out.push_back(name);
-  return out;
-}
-
-std::vector<std::string> Catalog::LivePointCloudNames() const {
-  std::vector<std::string> out;
-  for (const auto& [name, _] : live_tables_) out.push_back(name);
   return out;
 }
 

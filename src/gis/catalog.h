@@ -1,9 +1,13 @@
-// The catalog: named point-cloud tables (each wrapped by a spatial query
-// engine) and named vector layers. This is what the SQL front end resolves
-// FROM clauses against, and what the demo scenarios assemble.
+// The catalog: named point clouds and named vector layers. This is what
+// the SQL front end resolves FROM clauses against, and what the demo
+// scenarios assemble. Every point cloud — flat, Hilbert-sharded or live —
+// is registered the same way: as a function that pins its current
+// ShardsView, so the planner, executor, cache and server batching run one
+// path whatever the layout (a flat table is a one-shard view).
 #ifndef GEOCOL_GIS_CATALOG_H_
 #define GEOCOL_GIS_CATALOG_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -12,7 +16,6 @@
 #include "columns/column_file.h"
 #include "core/live_table.h"
 #include "core/shard_router.h"
-#include "core/spatial_engine.h"
 #include "gis/layer.h"
 #include "util/status.h"
 
@@ -28,7 +31,8 @@ bool IsCompressedTableDir(const std::string& dir, const TableManifest& m);
 /// disk on demand.
 Result<FlatTable> OpenTableDir(const std::string& dir, bool paged = false);
 
-/// Named dataset registry.
+/// Named dataset registry: point clouds and vector layers share one
+/// namespace.
 class Catalog {
  public:
   /// Opens the point cloud persisted under `dir` (a flat table in any
@@ -40,65 +44,55 @@ class Catalog {
   /// instead of rebuilding them.
   Status AddPointCloudDir(const std::string& dir, bool paged = false);
 
-  /// Registers a point cloud table; a SpatialQueryEngine is created over
-  /// it with `options`.
+  /// Registers a flat point-cloud table, wrapped in place as a one-shard
+  /// layout (ShardedTable::Wrap) whose slice dir is
+  /// `options.imprints_dir`.
   Status AddPointCloud(const std::string& name,
                        std::shared_ptr<FlatTable> table,
                        EngineOptions options = {});
 
-  Status AddLayer(std::shared_ptr<VectorLayer> layer);
-
-  /// Registers a Hilbert-sharded point cloud; queries route through a
-  /// ShardRouter built with `options`. Shares the point-cloud/layer
-  /// namespace.
+  /// Registers a Hilbert-sharded point cloud; its views come from a
+  /// ShardRouter built with `options`.
   Status AddShardedPointCloud(const std::string& name,
                               std::shared_ptr<ShardedTable> table,
                               EngineOptions options = {});
 
-  /// Registers a live (appendable) point cloud. Statements against it pin
-  /// the table's current epoch snapshot at plan time, so appends landing
-  /// mid-statement never shift rows or free columns under the executor.
+  /// Registers a live (appendable) point cloud. Its view is the current
+  /// epoch's one-shard view, so a statement pinned at plan time reads one
+  /// epoch end to end even while appender commits publish.
   Status AddLivePointCloud(const std::string& name,
                            std::shared_ptr<LiveTable> table);
 
+  Status AddLayer(std::shared_ptr<VectorLayer> layer);
+
   bool HasPointCloud(const std::string& name) const {
-    return engines_.count(name) != 0;
+    return point_clouds_.count(name) != 0;
   }
   bool HasLayer(const std::string& name) const {
     return layers_.count(name) != 0;
   }
-  bool HasShardedPointCloud(const std::string& name) const {
-    return routers_.count(name) != 0;
-  }
-  bool HasLivePointCloud(const std::string& name) const {
-    return live_tables_.count(name) != 0;
-  }
 
-  Result<SpatialQueryEngine*> GetEngine(const std::string& name);
-  Result<std::shared_ptr<FlatTable>> GetTable(const std::string& name);
+  /// Pins the current view of point cloud `name`.
+  Result<std::shared_ptr<const ShardsView>> View(const std::string& name) const;
+
+  /// The engine (and table) of a one-shard point cloud. For a live table
+  /// these belong to the current epoch and stay valid only while that
+  /// epoch is pinned; pin View() instead to hold one.
+  Result<SpatialQueryEngine*> GetEngine(const std::string& name) const;
+  Result<std::shared_ptr<FlatTable>> GetTable(const std::string& name) const;
   Result<std::shared_ptr<VectorLayer>> GetLayer(const std::string& name);
-  Result<ShardRouter*> GetRouter(const std::string& name);
-  Result<std::shared_ptr<ShardedTable>> GetShardedTable(
-      const std::string& name);
-  Result<std::shared_ptr<LiveTable>> GetLiveTable(const std::string& name);
 
   std::vector<std::string> PointCloudNames() const;
   std::vector<std::string> LayerNames() const;
-  std::vector<std::string> ShardedPointCloudNames() const;
-  std::vector<std::string> LivePointCloudNames() const;
 
  private:
-  bool NameTaken(const std::string& name) const {
-    return engines_.count(name) != 0 || layers_.count(name) != 0 ||
-           routers_.count(name) != 0 || live_tables_.count(name) != 0;
-  }
+  using PinView = std::function<std::shared_ptr<const ShardsView>()>;
 
-  std::map<std::string, std::unique_ptr<SpatialQueryEngine>> engines_;
-  std::map<std::string, std::shared_ptr<FlatTable>> tables_;
+  Status CheckNameFree(const std::string& name) const;
+  Status AddPointCloudView(const std::string& name, PinView pin);
+
+  std::map<std::string, PinView> point_clouds_;
   std::map<std::string, std::shared_ptr<VectorLayer>> layers_;
-  std::map<std::string, std::unique_ptr<ShardRouter>> routers_;
-  std::map<std::string, std::shared_ptr<ShardedTable>> sharded_tables_;
-  std::map<std::string, std::shared_ptr<LiveTable>> live_tables_;
 };
 
 }  // namespace geocol

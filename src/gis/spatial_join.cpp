@@ -12,9 +12,15 @@ Result<NearLayerResult> PointsNearLayerClass(SpatialQueryEngine* engine,
   return PointsNearLayerClass(engine, layer, feature_class, distance, {});
 }
 
-Result<NearLayerResult> PointsNearLayerClass(
-    SpatialQueryEngine* engine, VectorLayer* layer, uint32_t feature_class,
-    double distance, const std::vector<AttributeRange>& ranges) {
+namespace {
+
+/// The join around `select_near`: a class select over `layer` (recorded
+/// as the layer.class_select span), then one NEAR selection over the
+/// chosen features in layer order, whose span tree follows.
+template <typename SelectNearFn>
+Result<NearLayerResult> NearLayerClass(VectorLayer* layer,
+                                       uint32_t feature_class,
+                                       const SelectNearFn& select_near) {
   QueryProfile profile;
   Timer t;
   std::vector<uint64_t> feature_idx;
@@ -31,11 +37,28 @@ Result<NearLayerResult> PointsNearLayerClass(
   }
   profile.Add("layer.class_select", t.ElapsedNanos(), layer->size(),
               feature_idx.size());
-  GEOCOL_ASSIGN_OR_RETURN(NearLayerResult result,
-                          engine->SelectNear(features, distance, ranges));
+  GEOCOL_ASSIGN_OR_RETURN(NearLayerResult result, select_near(features));
   profile.Append(result.profile);
   result.profile = std::move(profile);
   return result;
+}
+
+}  // namespace
+
+Result<NearLayerResult> PointsNearLayerClass(
+    SpatialQueryEngine* engine, VectorLayer* layer, uint32_t feature_class,
+    double distance, const std::vector<AttributeRange>& ranges) {
+  return NearLayerClass(layer, feature_class, [&](const auto& features) {
+    return engine->SelectNear(features, distance, ranges);
+  });
+}
+
+Result<NearLayerResult> PointsNearLayerClass(
+    const ShardsView& view, VectorLayer* layer, uint32_t feature_class,
+    double distance, const std::vector<AttributeRange>& ranges) {
+  return NearLayerClass(layer, feature_class, [&](const auto& features) {
+    return view.SelectNear(features, distance, ranges);
+  });
 }
 
 Result<double> AggregateNearLayerClass(SpatialQueryEngine* engine,

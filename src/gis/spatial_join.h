@@ -7,7 +7,7 @@
 
 #include <vector>
 
-#include "core/spatial_engine.h"
+#include "core/shard_router.h"
 #include "gis/layer.h"
 
 namespace geocol {
@@ -31,6 +31,12 @@ Result<NearLayerResult> PointsNearLayerClass(SpatialQueryEngine* engine,
 /// NaN value never qualifies.
 Result<NearLayerResult> PointsNearLayerClass(
     SpatialQueryEngine* engine, VectorLayer* layer, uint32_t feature_class,
+    double distance, const std::vector<AttributeRange>& ranges);
+
+/// As above over a pinned point-cloud view (any shard count): one
+/// ShardsView::SelectNear, whose row ids are global.
+Result<NearLayerResult> PointsNearLayerClass(
+    const ShardsView& view, VectorLayer* layer, uint32_t feature_class,
     double distance, const std::vector<AttributeRange>& ranges);
 
 /// Aggregates `column` over the points selected by PointsNearLayerClass —

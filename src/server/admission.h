@@ -25,7 +25,7 @@ namespace geocol {
 namespace server {
 
 /// One admitted query: the statement (already parsed and planned at
-/// admission time, pinning a live-table epoch per statement), its batch
+/// admission time, pinning the point cloud's view per statement), its batch
 /// identity, and a one-shot completion slot the connection thread waits
 /// on. Result<T> has no default constructor, so status and rows travel
 /// separately.
@@ -34,10 +34,11 @@ struct QueryTask {
   std::string sql;
   sql::PlannedQuery plan;
 
-  /// Shared-scan batch group key: the flat engine's address (nonzero only
-  /// for batchable plans). Plans pinned to the same live epoch hold the
-  /// same engine, so equal keys mean "same table snapshot"; both engines
-  /// are kept alive by their plans, so the addresses cannot alias.
+  /// Shared-scan batch group key: the address of the pinned ShardsView
+  /// (nonzero only for batchable plans). A point cloud publishes a new
+  /// view object per append or live epoch, so equal keys mean "same point
+  /// cloud at the same view version"; every queued view is kept alive by
+  /// its plan, so the addresses cannot alias.
   uintptr_t batch_key = 0;
 
   // ---- Completion (set exactly once by a worker).

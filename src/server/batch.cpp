@@ -33,35 +33,58 @@ struct GatheredColumn {
   std::vector<uint8_t> data;  // candidates.size() values of native width
 };
 
+/// Gathers the `n` ascending rows (global ids of a shard at `base`) of
+/// `col` into `out`: an ascending walk, pinning each covering chunk once.
+/// Resident columns pin the whole buffer (one iteration); paged columns
+/// fault only the chunks the candidate rows touch.
 template <typename T>
-Status GatherTyped(const Column& col, const std::vector<uint64_t>& rows,
-                   T* out) {
-  // Ascending walk, pinning each covering chunk once. Resident columns
-  // pin the whole buffer (one iteration); paged columns fault only the
-  // chunks the candidate rows touch.
+Status GatherTyped(const Column& col, const uint64_t* rows, size_t n,
+                   uint64_t base, T* out) {
   const size_t chunk_rows = col.chunk_rows();
   size_t i = 0;
-  while (i < rows.size()) {
+  while (i < n) {
     GEOCOL_ASSIGN_OR_RETURN(ColumnChunkPin pin,
-                            col.PinChunk(rows[i] / chunk_rows));
+                            col.PinChunk((rows[i] - base) / chunk_rows));
     const T* values = pin.values<T>();
-    const uint64_t end_row = pin.first_row + pin.row_count;
-    for (; i < rows.size() && rows[i] < end_row; ++i) {
-      out[i] = values[rows[i] - pin.first_row];
+    const uint64_t end_row = base + pin.first_row + pin.row_count;
+    for (; i < n && rows[i] < end_row; ++i) {
+      out[i] = values[rows[i] - base - pin.first_row];
     }
   }
   return Status::OK();
 }
 
-Status GatherColumn(const Column& col, const std::vector<uint64_t>& rows,
-                    GatheredColumn* out) {
-  out->type = col.type();
-  out->data.resize(rows.size() * col.width());
-  Status st;
-  DispatchDataType(col.type(), [&]<typename T>() {
-    st = GatherTyped<T>(col, rows, reinterpret_cast<T*>(out->data.data()));
-  });
-  return st;
+/// Gathers column `name` at the ascending global `rows`, one run of rows
+/// per shard.
+Status GatherColumn(const ShardsView& view, const std::string& name,
+                    const std::vector<uint64_t>& rows, GatheredColumn* out) {
+  size_t i = 0;
+  for (size_t s = 0; s < view.shards.size(); ++s) {
+    GEOCOL_ASSIGN_OR_RETURN(ColumnPtr col, view.shards[s]->GetColumn(name));
+    if (s == 0) {
+      out->type = col->type();
+      out->data.resize(rows.size() * col->width());
+    }
+    const uint64_t base = view.bases[s];
+    const uint64_t end =
+        s + 1 < view.bases.size() ? view.bases[s + 1] : UINT64_MAX;
+    const size_t first = i;
+    while (i < rows.size() && rows[i] < end) ++i;
+    if (i == first) continue;
+    // A short column (solo answers Corruption: "... length mismatch")
+    // errors here instead, and the caller's solo fallback reproduces the
+    // exact solo-path message.
+    if (rows[i - 1] - base >= col->size()) {
+      return Status::Corruption("column length mismatch: " + name);
+    }
+    Status st;
+    DispatchDataType(col->type(), [&]<typename T>() {
+      st = GatherTyped<T>(*col, rows.data() + first, i - first, base,
+                          reinterpret_cast<T*>(out->data.data()) + first);
+    });
+    GEOCOL_RETURN_NOT_OK(st);
+  }
+  return Status::OK();
 }
 
 /// ANDs the rows satisfying `lo <= v <= hi` (compared in the column's
@@ -96,14 +119,13 @@ bool AndRangeBits(const GatheredColumn& g, size_t n, double lo, double hi,
 
 bool BatchablePlan(const sql::PlannedQuery& plan) {
   if (plan.target != sql::PlannedQuery::Target::kPointCloud) return false;
-  if (plan.engine == nullptr || plan.router != nullptr) return false;
   if (plan.near) return false;
   if (plan.buffer != 0.0) return false;
   if (plan.stmt.explain || plan.stmt.analyze) return false;
   return plan.has_geometry && plan.geometry.is_box();
 }
 
-Result<SharedScanResult> SharedScanSelect(SpatialQueryEngine* engine,
+Result<SharedScanResult> SharedScanSelect(const ShardsView& view,
                                           const std::vector<TaskPtr>& group) {
   SharedScanResult out;
   out.member_rows.resize(group.size());
@@ -116,12 +138,11 @@ Result<SharedScanResult> SharedScanSelect(SpatialQueryEngine* engine,
     superset.Extend(task->plan.geometry.box());
   }
 
-  const FlatTable& table = engine->table();
   Timer scan_timer;
   std::vector<uint64_t> candidates;
   if (!superset.empty()) {
     GEOCOL_ASSIGN_OR_RETURN(SelectionResult sel,
-                            engine->SelectInBox(superset));
+                            view.Select(Geometry(superset), 0.0, {}));
     candidates = std::move(sel.row_ids);
   }
 
@@ -140,18 +161,13 @@ Result<SharedScanResult> SharedScanSelect(SpatialQueryEngine* engine,
     }
     for (const RangePredicate& p : predicates[m]) gathered[*p.column];
   }
+  uint64_t rows_in = 0;
+  for (const auto& shard : view.shards) rows_in += shard->num_rows();
   for (auto& [name, g] : gathered) {
-    GEOCOL_ASSIGN_OR_RETURN(ColumnPtr col, table.GetColumn(name));
-    // A short column (solo answers Corruption: "... length mismatch")
-    // errors here instead, and the caller's solo fallback reproduces the
-    // exact solo-path message.
-    if (!candidates.empty() && candidates.back() >= col->size()) {
-      return Status::Corruption("column length mismatch: " + name);
-    }
-    GEOCOL_RETURN_NOT_OK(GatherColumn(*col, candidates, &g));
+    GEOCOL_RETURN_NOT_OK(GatherColumn(view, name, candidates, &g));
   }
-  out.profile.Add("server.batch.scan", scan_timer.ElapsedNanos(),
-                  table.num_rows(), candidates.size());
+  out.profile.Add("server.batch.scan", scan_timer.ElapsedNanos(), rows_in,
+                  candidates.size());
 
   // Fan out: re-filter the candidates per member with the exact solo
   // predicate set. Each member's box is contained in the superset, so its

@@ -113,7 +113,7 @@ Status Server::Start() {
       options_.rate_limit_qps, options_.rate_limit_burst,
       options_.rate_limit_max_clients);
   counters_ = std::make_unique<Counters>();
-  // Rebinding an engine's cache budget races in-flight queries; worker
+  // Rebinding a shard engine's cache budget races in-flight queries; worker
   // sessions must never do it mid-serve.
   options_.session.cache_budget_bytes = -1;
 
@@ -308,7 +308,7 @@ void Server::ConnectionLoop(int fd, uint64_t conn_index) {
                     "rate limit exceeded for client " + client_id);
           break;
         }
-        // Parse and plan at admission: a live table's epoch is pinned
+        // Parse and plan at admission: the point cloud's view is pinned
         // HERE, so the statement sees one consistent snapshot no matter
         // how long it queues or which worker runs it.
         TaskPtr task = std::make_shared<QueryTask>();
@@ -334,7 +334,7 @@ void Server::ConnectionLoop(int fd, uint64_t conn_index) {
           task->plan = std::move(*plan);
         }
         if (options_.shared_scan_batching && BatchablePlan(task->plan)) {
-          task->batch_key = reinterpret_cast<uintptr_t>(task->plan.engine);
+          task->batch_key = reinterpret_cast<uintptr_t>(task->plan.view.get());
         }
         const AdmissionQueue::Admit admit = queue_->TryPush(task);
         if (admit == AdmissionQueue::Admit::kFull) {
@@ -437,9 +437,8 @@ void Server::ExecuteBatchGroup(sql::Session& session,
                                const std::vector<TaskPtr>& group) {
   GEOCOL_METRIC_COUNTER(c_batches, "geocol_server_batches_total");
   GEOCOL_METRIC_COUNTER(c_members, "geocol_server_batch_members_total");
-  SpatialQueryEngine* engine =
-      reinterpret_cast<SpatialQueryEngine*>(group[0]->batch_key);
-  Result<SharedScanResult> scan = SharedScanSelect(engine, group);
+  Result<SharedScanResult> scan =
+      SharedScanSelect(*group[0]->plan.view, group);
   if (!scan.ok()) {
     // Shared path failed (chunk fault, column mismatch, ...): run every
     // member alone so each gets exactly the result/error of unbatched

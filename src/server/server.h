@@ -1,14 +1,14 @@
 // The multi-tenant query server behind `geocol serve` (DESIGN.md §16):
 // a TCP listener (thread per connection) in front of a worker pool of
-// sql::Sessions that all share ONE catalog — one engine per table, the
+// sql::Sessions that all share ONE catalog — one view per point cloud, the
 // process-wide QueryResultCache, MetricsRegistry and flight recorder.
 //
 // Request path: connection thread reads a frame, rate-limits by client
-// id, parses AND plans the statement (planning at admission pins a
-// live-table epoch per statement), then offers the task to the bounded
+// id, parses AND plans the statement (planning at admission pins the
+// point cloud's view per statement), then offers the task to the bounded
 // admission queue — a full queue sheds a typed BUSY instead of stalling.
 // Workers pop tasks; a popped batchable task pulls every queued task on
-// the same engine into a shared-scan batch group (server/batch.h), one
+// the same pinned view into a shared-scan batch group (server/batch.h), one
 // superset scan fanning bit-identical per-member selections out.
 #ifndef GEOCOL_SERVER_SERVER_H_
 #define GEOCOL_SERVER_SERVER_H_

@@ -86,40 +86,18 @@ constexpr size_t kExecBlockRows = 1024;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// What a point-cloud statement reads its values from: a flat or live
-/// table as one shard at base 0, or a sharded table through the
-/// statement's pinned view, so selection, aggregation, ORDER BY and
-/// projection all see one epoch even while appends publish.
-struct PointCloudSource {
-  const FlatTable* table = nullptr;
-  const ShardRouter* router = nullptr;
-  ShardsView view;
-
-  explicit PointCloudSource(const PlannedQuery& plan) : router(plan.router) {
-    if (router != nullptr) {
-      view = router->View();
-    } else {
-      table = &plan.engine->table();
-    }
-  }
-
-  Schema schema() const {
-    return table != nullptr ? table->schema() : router->schema();
-  }
-  Result<ShardedColumnReader> Column(const std::string& name) const {
-    return table != nullptr ? ShardedColumnReader::Make(*table, name)
-                            : ShardedColumnReader::Make(view, name);
-  }
-};
-
 /// The rendering half of point-cloud execution: aggregation or
 /// `*`-expansion / ORDER BY / LIMIT / projection over an already-selected
-/// row set. `rs.profile` holds the selection-phase spans on entry. Shared
-/// by every layout and by the server's batched fan-out
-/// (ExecutePointCloudWithRows), so all of them render bit-identically.
+/// row set, reading values through the plan's pinned view. `rs.profile`
+/// holds the selection-phase spans on entry. Shared by every layout and by
+/// the server's batched fan-out (ExecutePointCloudWithRows), so all of
+/// them render bit-identically.
 Result<ResultSet> RenderPointCloud(const PlannedQuery& plan,
-                                   const PointCloudSource& src,
                                    std::vector<uint64_t> rows, ResultSet rs) {
+  const ShardsView& view = *plan.view;
+  auto column = [&](const std::string& name) {
+    return ShardedColumnReader::Make(view, name);
+  };
   if (plan.stmt.IsAggregate()) {
     std::vector<Value> out_row;
     for (const SelectItem& it : plan.stmt.items) {
@@ -128,7 +106,7 @@ Result<ResultSet> RenderPointCloud(const PlannedQuery& plan,
       if (it.agg == AggFunc::kCount) {
         out_row.push_back(Value::Num(static_cast<double>(rows.size())));
       } else {
-        GEOCOL_ASSIGN_OR_RETURN(ShardedColumnReader col, src.Column(it.column));
+        GEOCOL_ASSIGN_OR_RETURN(ShardedColumnReader col, column(it.column));
         GEOCOL_ASSIGN_OR_RETURN(double v,
                                 col.Aggregate(rows, AggKindOf(it.agg)));
         out_row.push_back(rows.empty() ? Value::Null() : Value::Num(v));
@@ -140,7 +118,7 @@ Result<ResultSet> RenderPointCloud(const PlannedQuery& plan,
 
   // Expand `*`.
   std::vector<std::string> proj;
-  const Schema schema = src.schema();
+  const Schema schema = view.schema();
   for (const SelectItem& it : plan.stmt.items) {
     if (it.star) {
       for (const Field& f : schema.fields()) proj.push_back(f.name);
@@ -150,14 +128,14 @@ Result<ResultSet> RenderPointCloud(const PlannedQuery& plan,
   }
   std::vector<ShardedColumnReader> cols;
   for (const std::string& name : proj) {
-    GEOCOL_ASSIGN_OR_RETURN(ShardedColumnReader c, src.Column(name));
+    GEOCOL_ASSIGN_OR_RETURN(ShardedColumnReader c, column(name));
     cols.push_back(std::move(c));
     rs.columns.push_back(name);
   }
   if (!plan.stmt.order_by.empty()) {
     Timer ts;
     GEOCOL_ASSIGN_OR_RETURN(ShardedColumnReader key,
-                            src.Column(plan.stmt.order_by));
+                            column(plan.stmt.order_by));
     // Pre-materialise the sort keys with one batched pass, then sort a
     // permutation: the comparator never touches the column, so a paged key
     // column faults each chunk once instead of O(n log n) times, and the
@@ -207,15 +185,14 @@ Result<ResultSet> RenderPointCloud(const PlannedQuery& plan,
 }
 
 /// One path for flat, live and sharded point clouds: select through the
-/// engine (or the router, over the pinned view), then render.
+/// pinned view, then render.
 Result<ResultSet> ExecutePointCloud(const PlannedQuery& plan) {
   ResultSet rs;
-  const PointCloudSource src(plan);
   std::vector<uint64_t> rows;
   if (plan.near) {
-    // The planner rejects NEAR on sharded tables. The statement's box
-    // reaches the engine as x/y ranges (only the sides it bounds), which
-    // filter into the base mask with the thematic ranges.
+    // The statement's box reaches the join as x/y ranges (only the sides
+    // it bounds), which filter into the base mask with the thematic
+    // ranges.
     std::vector<AttributeRange> ranges = plan.thematic;
     if (plan.has_geometry) {
       const Box& box = plan.geometry.box();
@@ -228,21 +205,18 @@ Result<ResultSet> ExecutePointCloud(const PlannedQuery& plan) {
     }
     GEOCOL_ASSIGN_OR_RETURN(
         NearLayerResult near,
-        PointsNearLayerClass(plan.engine, plan.near_layer.get(),
+        PointsNearLayerClass(*plan.view, plan.near_layer.get(),
                              plan.near_class, plan.near_distance, ranges));
     rs.profile = std::move(near.profile);
     rows = std::move(near.row_ids);
   } else {
     GEOCOL_ASSIGN_OR_RETURN(
         SelectionResult sel,
-        plan.router != nullptr
-            ? plan.router->Select(src.view, plan.geometry, plan.buffer,
-                                  plan.thematic)
-            : plan.engine->Select(plan.geometry, plan.buffer, plan.thematic));
+        plan.view->Select(plan.geometry, plan.buffer, plan.thematic));
     rows = std::move(sel.row_ids);
     rs.profile = std::move(sel.profile);
   }
-  return RenderPointCloud(plan, src, std::move(rows), std::move(rs));
+  return RenderPointCloud(plan, std::move(rows), std::move(rs));
 }
 
 Result<ResultSet> ExecuteLayer(const PlannedQuery& plan) {
@@ -395,8 +369,7 @@ Result<ResultSet> ExecutePointCloudWithRows(const PlannedQuery& plan,
                                             QueryProfile profile) {
   ResultSet rs;
   rs.profile = std::move(profile);
-  return RenderPointCloud(plan, PointCloudSource(plan), std::move(rows),
-                          std::move(rs));
+  return RenderPointCloud(plan, std::move(rows), std::move(rs));
 }
 
 Result<ResultSet> ExecuteQuery(const PlannedQuery& plan) {

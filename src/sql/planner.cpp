@@ -42,25 +42,14 @@ Status ValidateItems(const PlannedQuery& pq, const Schema* schema) {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// The extent of a point-cloud target's x/y values: the column stats of a
-/// flat or live table, the layout extent of a sharded one.
-Result<Box> PointCloudExtent(const PlannedQuery& pq) {
-  if (pq.router != nullptr) return pq.router->table().extent();
-  const FlatTable& table = pq.engine->table();
-  GEOCOL_ASSIGN_OR_RETURN(ColumnPtr xc, table.GetColumn("x"));
-  GEOCOL_ASSIGN_OR_RETURN(ColumnPtr yc, table.GetColumn("y"));
-  return Box(xc->Stats().min, yc->Stats().min, xc->Stats().max,
-             yc->Stats().max);
-}
-
 /// The query box (DESIGN.md §3): a point-cloud plan whose geometry is
 /// absent or an unbuffered box is an imprint filter on x and y and nothing
 /// else, so its x/y ranges fold into that box instead of filtering x and y
-/// twice. A side the statement leaves open takes the table extent. A NEAR
-/// plan's box only narrows the joined rows, so it stays as written and
-/// exists only when the statement bounds something. Polygon and
-/// ST_DWithin plans keep x/y as ranges: refinement needs the exact
-/// geometry.
+/// twice. A side the statement leaves open takes the point cloud's extent
+/// (the union of the pinned shards' bboxes). A NEAR plan's box only
+/// narrows the joined rows, so it stays as written and exists only when
+/// the statement bounds something. Polygon and ST_DWithin plans keep x/y
+/// as ranges: refinement needs the exact geometry.
 Status FoldQueryBox(PlannedQuery* pq) {
   if (pq->target != PlannedQuery::Target::kPointCloud) return Status::OK();
   if (pq->has_geometry && !(pq->geometry.is_box() && pq->buffer == 0.0)) {
@@ -87,7 +76,7 @@ Status FoldQueryBox(PlannedQuery* pq) {
   pq->thematic = std::move(rest);
   if (!pq->near && (box.min_x == -kInf || box.min_y == -kInf ||
                     box.max_x == kInf || box.max_y == kInf)) {
-    GEOCOL_ASSIGN_OR_RETURN(Box extent, PointCloudExtent(*pq));
+    GEOCOL_ASSIGN_OR_RETURN(Box extent, pq->view->Extent());
     if (box.min_x == -kInf) box.min_x = extent.min_x;
     if (box.min_y == -kInf) box.min_y = extent.min_y;
     if (box.max_x == kInf) box.max_x = extent.max_x;
@@ -120,22 +109,9 @@ Result<PlannedQuery> PlanQuery(Catalog* catalog, SelectStmt stmt) {
   Schema schema;
   if (catalog->HasPointCloud(stmt.table)) {
     pq.target = PlannedQuery::Target::kPointCloud;
-    GEOCOL_ASSIGN_OR_RETURN(pq.engine, catalog->GetEngine(stmt.table));
-    schema = pq.engine->table().schema();
-  } else if (catalog->HasShardedPointCloud(stmt.table)) {
-    pq.target = PlannedQuery::Target::kPointCloud;
-    GEOCOL_ASSIGN_OR_RETURN(pq.router, catalog->GetRouter(stmt.table));
-    schema = pq.router->schema();
-  } else if (catalog->HasLivePointCloud(stmt.table)) {
-    pq.target = PlannedQuery::Target::kPointCloud;
-    GEOCOL_ASSIGN_OR_RETURN(std::shared_ptr<LiveTable> live,
-                            catalog->GetLiveTable(stmt.table));
-    // Pin the current epoch for the whole statement: the snapshot engine
-    // is bound to exactly this epoch's column versions.
-    EpochSnapshot snapshot = live->Pin();
-    pq.engine_owner = snapshot.engine;
-    pq.engine = snapshot.engine.get();
-    schema = snapshot.table->schema();
+    GEOCOL_ASSIGN_OR_RETURN(pq.view, catalog->View(stmt.table));
+    pq.engine = pq.view->single_engine();
+    schema = pq.view->schema();
   } else if (catalog->HasLayer(stmt.table)) {
     pq.target = PlannedQuery::Target::kLayer;
     GEOCOL_ASSIGN_OR_RETURN(pq.layer, catalog->GetLayer(stmt.table));
@@ -152,9 +128,6 @@ Result<PlannedQuery> PlanQuery(Catalog* catalog, SelectStmt stmt) {
       }
       if (pq.target == PlannedQuery::Target::kLayer) {
         return Status::Unsupported("SQL: NEAR on a vector layer");
-      }
-      if (pq.router != nullptr) {
-        return Status::Unsupported("SQL: NEAR on a sharded point cloud");
       }
       GEOCOL_ASSIGN_OR_RETURN(pq.near_layer, catalog->GetLayer(sp.layer));
       pq.near = true;
@@ -227,16 +200,15 @@ Result<PlannedQuery> PlanQuery(Catalog* catalog, SelectStmt stmt) {
 std::string PlannedQuery::Describe() const {
   std::string s;
   s += "plan for: " + stmt.ToString() + "\n";
+  const size_t shards = view != nullptr ? view->shards.size() : 0;
   s += std::string("  target: ") +
-       (target == Target::kPointCloud
-            ? (router != nullptr
-                   ? "sharded point cloud (" +
-                         std::to_string(router->num_shards()) +
-                         " Hilbert shards + imprints)"
-                   : std::string("point cloud (flat table + imprints)"))
-            : std::string("vector layer (envelope R-tree)")) +
+       (target == Target::kLayer
+            ? std::string("vector layer (envelope R-tree)")
+            : shards > 1 ? "sharded point cloud (" + std::to_string(shards) +
+                               " Hilbert shards + imprints)"
+                         : std::string("point cloud (flat table + imprints)")) +
        " '" + stmt.table + "'\n";
-  if (router != nullptr) {
+  if (shards > 1) {
     s += "  step 0: bbox-prune shards against query envelope, "
          "scatter-gather the rest\n";
   }

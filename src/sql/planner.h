@@ -20,17 +20,14 @@ struct PlannedQuery {
   Target target = Target::kPointCloud;
   SelectStmt stmt;
 
-  // Point-cloud target. Exactly one of `engine` (flat table) or `router`
-  // (Hilbert-sharded table, scatter-gather execution) is set.
-  SpatialQueryEngine* engine = nullptr;  ///< owned by the catalog
-  ShardRouter* router = nullptr;         ///< owned by the catalog
-
-  /// Live-table statement pin: when the FROM target is a live point
-  /// cloud, the plan pins its current epoch snapshot here and `engine`
-  /// points into it — the statement reads one epoch end to end even while
-  /// appender commits publish, and the snapshot's columns stay alive
-  /// until the plan is dropped.
-  std::shared_ptr<SpatialQueryEngine> engine_owner;
+  // Point-cloud target: the view pinned at plan time. Selection,
+  // aggregation, ORDER BY and projection all read this one shard set, so
+  // a statement sees one epoch end to end even while appends publish, and
+  // its columns stay alive until the plan is dropped.
+  std::shared_ptr<const ShardsView> view;
+  /// The single shard's engine of a one-shard view (every flat table),
+  /// else null.
+  SpatialQueryEngine* engine = nullptr;
 
   // Layer target.
   std::shared_ptr<VectorLayer> layer;

@@ -116,4 +116,10 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+std::shared_ptr<ThreadPool> MakeQueryPool(uint32_t num_threads) {
+  const size_t threads =
+      num_threads != 0 ? num_threads : std::thread::hardware_concurrency();
+  return threads > 1 ? std::make_shared<ThreadPool>(threads - 1) : nullptr;
+}
+
 }  // namespace geocol

@@ -6,8 +6,10 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -64,6 +66,12 @@ class ThreadPool {
   size_t active_ = 0;
   bool shutdown_ = false;
 };
+
+/// The pool of a query executor running on `num_threads` threads (0 = one
+/// per hardware core). The calling thread participates in every parallel
+/// loop, so the pool holds num_threads - 1 workers; null (run serially)
+/// when that is none.
+std::shared_ptr<ThreadPool> MakeQueryPool(uint32_t num_threads);
 
 }  // namespace geocol
 

@@ -13,6 +13,7 @@
 #include "cache/query_cache.h"
 #include "columns/column_file.h"
 #include "columns/paged_column.h"
+#include "columns/sharded_table.h"
 #include "core/live_table.h"
 #include "core/table_appender.h"
 #include "geom/predicates.h"
@@ -258,7 +259,7 @@ TEST_F(SpatialJoinTest, PointsNearTransitRoadMatchesManualQuery) {
       engine_.get(), layer_.get(),
       static_cast<uint32_t>(UrbanAtlasClass::kFastTransitRoads), 20.0);
   ASSERT_TRUE(near.ok());
-  EXPECT_EQ(near->features_matched, 1u);
+  EXPECT_EQ(near->features_matched(), 1u);
   auto direct =
       engine_->SelectWithinDistance(layer_->feature(0).geometry, 20.0);
   ASSERT_TRUE(direct.ok());
@@ -275,7 +276,7 @@ TEST_F(SpatialJoinTest, ClassZeroMeansAnyFeature) {
       static_cast<uint32_t>(UrbanAtlasClass::kFastTransitRoads), 10.0);
   ASSERT_TRUE(transit.ok());
   EXPECT_GE(any->row_ids.size(), transit->row_ids.size());
-  EXPECT_EQ(any->features_matched, 2u);
+  EXPECT_EQ(any->features_matched(), 2u);
 }
 
 TEST_F(SpatialJoinTest, ResultsAreSortedAndUnique) {
@@ -314,7 +315,7 @@ TEST_F(SpatialJoinTest, NoMatchingClassYieldsEmpty) {
   auto near = PointsNearLayerClass(engine_.get(), layer_.get(), 99999, 50.0);
   ASSERT_TRUE(near.ok());
   EXPECT_TRUE(near->row_ids.empty());
-  EXPECT_EQ(near->features_matched, 0u);
+  EXPECT_EQ(near->features_matched(), 0u);
 }
 
 TEST_F(SpatialJoinTest, LayerIntersectingLayer) {
@@ -526,12 +527,28 @@ TEST(NearDifferentialTest, MatchesBruteForceOnEveryLayout) {
   TempDir dir("near-diff");
   ASSERT_TRUE(WriteTableDir(*full, dir.File("paged")).ok());
 
+  // Sharded layouts renumber rows in Hilbert order; their oracle runs over
+  // the sorted table (the K = 1 layout's), the same row order at every K.
+  std::map<std::string, std::shared_ptr<ShardedTable>> sharded;
+  for (uint32_t k : {1u, 4u}) {
+    ShardingOptions so;
+    so.num_shards = k;
+    auto created = ShardedTable::Create(*full, so);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    sharded["shard" + std::to_string(k)] = *created;
+  }
+  const std::shared_ptr<FlatTable> sorted = sharded["shard1"]->shard(0).table;
+  std::vector<std::vector<uint64_t>> want_sorted;
+  for (const NearCase& c : cases) {
+    want_sorted.push_back(NearOracle(*sorted, *layer, c));
+  }
+
   // Span tree (name, parent, cardinalities, attrs, refine stats) and
   // features_matched of every cache-off join at 1 thread, which 3 threads
   // must reproduce.
   std::map<std::string, std::vector<std::string>> serial_shape;
   auto shape = [](const NearLayerResult& r) {
-    std::vector<std::string> out = {std::to_string(r.features_matched)};
+    std::vector<std::string> out = {std::to_string(r.features_matched())};
     for (const OperatorProfile& op : r.profile.operators()) {
       std::string s = op.name + "@" + std::to_string(op.parent) + " " +
                       std::to_string(op.rows_in) + "->" +
@@ -542,6 +559,9 @@ TEST(NearDifferentialTest, MatchesBruteForceOnEveryLayout) {
     }
     return out;
   };
+  // features_matched of the flat layout, which every other layout must
+  // reproduce: a feature counts once, however many shards it matched in.
+  std::vector<uint64_t> flat_matched(cases.size());
 
   for (uint32_t threads : {1u, 3u}) {
     for (bool cache_on : {false, true}) {
@@ -551,16 +571,16 @@ TEST(NearDifferentialTest, MatchesBruteForceOnEveryLayout) {
         opts.cache.budget_bytes = 64ull << 20;
         opts.cache.instance = std::make_shared<cache::QueryResultCache>();
       }
-      for (const char* layout : {"flat", "live", "paged"}) {
+      for (const std::string layout :
+           {"flat", "live", "paged", "shard1", "shard4"}) {
         SCOPED_TRACE(testing::Message() << "threads=" << threads
                                         << " cache=" << cache_on
                                         << " layout=" << layout);
         Catalog cat;
         ASSERT_TRUE(cat.AddLayer(layer).ok());
-        std::shared_ptr<LiveTable> live;
-        if (std::string(layout) == "flat") {
+        if (layout == "flat") {
           ASSERT_TRUE(cat.AddPointCloud("pc", full, opts).ok());
-        } else if (std::string(layout) == "paged") {
+        } else if (layout == "paged") {
           auto paged = ReadTableDirPaged(dir.File("paged"));
           ASSERT_TRUE(paged.ok()) << paged.status().ToString();
           ASSERT_TRUE(cat.AddPointCloud(
@@ -568,17 +588,21 @@ TEST(NearDifferentialTest, MatchesBruteForceOnEveryLayout) {
                              std::make_shared<FlatTable>(std::move(*paged)),
                              opts)
                           .ok());
-        } else {
+        } else if (layout == "live") {
           LiveTableOptions lopts;
           lopts.engine = opts;
           auto created = LiveTable::Create(cols.Table(0, kRows / 2), lopts);
           ASSERT_TRUE(created.ok()) << created.status().ToString();
-          live = *created;
-          TableAppender app(live);
+          TableAppender app(*created);
           ASSERT_TRUE(app.StageBatch(*cols.Table(kRows / 2, kRows)).ok());
           ASSERT_TRUE(app.Commit().ok());
-          ASSERT_TRUE(cat.AddLivePointCloud("pc", live).ok());
+          ASSERT_TRUE(cat.AddLivePointCloud("pc", *created).ok());
+        } else {
+          ASSERT_TRUE(
+              cat.AddShardedPointCloud("pc", sharded[layout], opts).ok());
         }
+        const bool resorted = layout.rfind("shard", 0) == 0;
+        const FlatTable& oracle_table = resorted ? *sorted : *full;
         sql::SessionOptions sopts;
         sopts.record_trace = false;
         sopts.record_flight = false;
@@ -586,28 +610,26 @@ TEST(NearDifferentialTest, MatchesBruteForceOnEveryLayout) {
 
         for (size_t i = 0; i < cases.size(); ++i) {
           const NearCase& c = cases[i];
+          const std::vector<uint64_t>& expect =
+              resorted ? want_sorted[i] : want[i];
           SCOPED_TRACE(NearSql(c, "*"));
-          // Row ids through the join API, on the statement's engine.
-          EpochSnapshot pinned;
-          SpatialQueryEngine* engine = nullptr;
-          if (live != nullptr) {
-            pinned = live->Pin();
-            engine = pinned.engine.get();
-          } else {
-            auto e = cat.GetEngine("pc");
-            ASSERT_TRUE(e.ok());
-            engine = *e;
-          }
+          // Row ids through the join API, on the statement's pinned view.
+          auto view = cat.View("pc");
+          ASSERT_TRUE(view.ok());
           // With the cache on, results past the doorkeeper size are
           // admitted on their second sighting, so the third run must hit.
           for (int rep = 0; rep < (cache_on ? 3 : 1); ++rep) {
-            auto got = PointsNearLayerClass(engine, layer.get(), c.cls, c.d,
+            auto got = PointsNearLayerClass(**view, layer.get(), c.cls, c.d,
                                             c.ranges);
             ASSERT_TRUE(got.ok()) << got.status().ToString();
-            EXPECT_EQ(got->row_ids, want[i]);
+            EXPECT_EQ(got->row_ids, expect);
+            if (layout == "flat") {
+              flat_matched[i] = got->features_matched();
+            } else {
+              EXPECT_EQ(got->features_matched(), flat_matched[i]);
+            }
             if (!cache_on) {
-              const std::string key = std::string(layout) + "/" +
-                                      std::to_string(i);
+              const std::string key = layout + "/" + std::to_string(i);
               if (threads == 1) {
                 serial_shape[key] = shape(*got);
               } else {
@@ -615,9 +637,11 @@ TEST(NearDifferentialTest, MatchesBruteForceOnEveryLayout) {
               }
             }
             if (rep == 2) {
-              // A repeated NEAR replays one tier-(a) entry: one cache.hit
-              // span, no per-feature work.
-              EXPECT_EQ(CountSpans(got->profile, "cache.hit"), 1u);
+              // A repeated NEAR replays one tier-(a) entry per shard it
+              // scans: one cache.hit span each, no per-feature work.
+              const size_t scans = CountSpans(got->profile, "shard.scan");
+              EXPECT_EQ(CountSpans(got->profile, "cache.hit"),
+                        std::max<size_t>(scans, 1));
               EXPECT_EQ(CountSpans(got->profile, "near"), 0u);
             }
           }
@@ -627,14 +651,13 @@ TEST(NearDifferentialTest, MatchesBruteForceOnEveryLayout) {
               NearSql(c, "COUNT(*), AVG(z), MIN(x), MAX(intensity)"));
           ASSERT_TRUE(rs.ok()) << rs.status().ToString();
           ASSERT_EQ(rs->rows.size(), 1u);
-          EXPECT_EQ(rs->rows[0][0].number,
-                    static_cast<double>(want[i].size()));
+          EXPECT_EQ(rs->rows[0][0].number, static_cast<double>(expect.size()));
           const std::pair<const char*, AggKind> aggs[] = {
               {"z", AggKind::kAvg},
               {"x", AggKind::kMin},
               {"intensity", AggKind::kMax}};
           for (size_t k = 0; k < 3; ++k) {
-            auto v = AggregateRows(*full->column(aggs[k].first), want[i],
+            auto v = AggregateRows(*oracle_table.column(aggs[k].first), expect,
                                    aggs[k].second);
             ASSERT_TRUE(v.ok());
             EXPECT_TRUE(SameBits(rs->rows[0][k + 1].number, *v))
@@ -646,7 +669,6 @@ TEST(NearDifferentialTest, MatchesBruteForceOnEveryLayout) {
     }
   }
 }
-
 
 }  // namespace
 }  // namespace geocol

@@ -131,7 +131,7 @@ TEST_F(IngestChaosTest, ConcurrentReadsBitIdenticalToSerialReplay) {
     threads.emplace_back([&] {
       while (!writers_done.load()) {
         EpochSnapshot snap = (*live)->Pin();
-        auto sel = snap.engine->SelectInBox(Box(-1, -1, 101, 101));
+        auto sel = snap.engine().SelectInBox(Box(-1, -1, 101, 101));
         ASSERT_TRUE(sel.ok()) << sel.status().ToString();
         ASSERT_EQ(sel->count(), snap.table->num_rows());
         {

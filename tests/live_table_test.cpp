@@ -89,7 +89,7 @@ TEST(LiveTableTest, AppendToEmptyTablePublishesFirstRows) {
   EXPECT_EQ(s0.table->num_rows(), 0u);
   EXPECT_TRUE(s0.bbox.empty());
   // Queries against the empty epoch are legal and empty.
-  auto sel0 = s0.engine->SelectInBox(Box(0, 0, 100, 100));
+  auto sel0 = s0.engine().SelectInBox(Box(0, 0, 100, 100));
   ASSERT_TRUE(sel0.ok()) << sel0.status().ToString();
   EXPECT_EQ(sel0->count(), 0u);
 
@@ -101,7 +101,7 @@ TEST(LiveTableTest, AppendToEmptyTablePublishesFirstRows) {
   EXPECT_EQ(s1.epoch, 1u);
   EXPECT_EQ(s1.table->num_rows(), 300u);
   EXPECT_FALSE(s1.bbox.empty());
-  auto sel1 = s1.engine->SelectInBox(Box(0, 0, 50, 50));
+  auto sel1 = s1.engine().SelectInBox(Box(0, 0, 50, 50));
   ASSERT_TRUE(sel1.ok()) << sel1.status().ToString();
   EXPECT_EQ(sel1->count(), 300u);
   // The pinned epoch-0 snapshot is untouched by the publish.
@@ -116,7 +116,7 @@ TEST(LiveTableTest, PinnedSnapshotBitIdenticalUnderCommits) {
   EpochSnapshot s0 = (*live)->Pin();
   const uint64_t rows0 = s0.table->num_rows();
   const void* x_bytes = s0.table->column("x")->raw_data();
-  auto before = s0.engine->SelectInBox(box);
+  auto before = s0.engine().SelectInBox(box);
   ASSERT_TRUE(before.ok());
 
   TableAppender app(*live);
@@ -128,14 +128,14 @@ TEST(LiveTableTest, PinnedSnapshotBitIdenticalUnderCommits) {
   // publish built a new version instead of mutating in place.
   EXPECT_EQ(s0.table->num_rows(), rows0);
   EXPECT_EQ(s0.table->column("x")->raw_data(), x_bytes);
-  auto after = s0.engine->SelectInBox(box);
+  auto after = s0.engine().SelectInBox(box);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->row_ids, before->row_ids);
 
   // A fresh pin sees every appended row exactly once.
   EpochSnapshot s1 = (*live)->Pin();
   EXPECT_EQ(s1.table->num_rows(), rows0 + 700);
-  auto sel1 = s1.engine->SelectInBox(box);
+  auto sel1 = s1.engine().SelectInBox(box);
   ASSERT_TRUE(sel1.ok());
   EXPECT_EQ(sel1->row_ids, BruteForceInBox(*s1.table, box));
 }
@@ -162,7 +162,7 @@ TEST(LiveTableTest, AppendGrowsBboxPastInitialExtent) {
   EpochSnapshot s1 = (*live)->Pin();
   EXPECT_GE(s1.bbox.max_x, 1000.0);
   EXPECT_GE(s1.bbox.max_y, 1000.0);
-  auto sel = s1.engine->SelectInBox(Box(999, 999, 1001, 1001));
+  auto sel = s1.engine().SelectInBox(Box(999, 999, 1001, 1001));
   ASSERT_TRUE(sel.ok()) << sel.status().ToString();
   ASSERT_EQ(sel->count(), 1u);
   EXPECT_EQ(sel->row_ids[0], rows0);
@@ -203,13 +203,13 @@ TEST(LiveTableTest, IncrementalStitchByteIdenticalAndQuarantineFallback) {
 
   // First query builds (and persists) the x/y imprints of epoch 0.
   Box box(20, 20, 70, 70);
-  ASSERT_TRUE((*live)->Pin().engine->SelectInBox(box).ok());
+  ASSERT_TRUE((*live)->Pin().engine().SelectInBox(box).ok());
 
   TableAppender app(*live);
   ASSERT_TRUE(app.StageBatch(MakeBatch(600, 10, extent)).ok());
   ASSERT_TRUE(app.Commit().ok());
   EpochSnapshot s1 = (*live)->Pin();
-  auto sel = s1.engine->SelectInBox(box);
+  auto sel = s1.engine().SelectInBox(box);
   ASSERT_TRUE(sel.ok()) << sel.status().ToString();
   EXPECT_EQ(sel->row_ids, BruteForceInBox(*s1.table, box));
 
@@ -233,7 +233,7 @@ TEST(LiveTableTest, IncrementalStitchByteIdenticalAndQuarantineFallback) {
   ASSERT_TRUE(app.StageBatch(MakeBatch(600, 11, extent)).ok());
   ASSERT_TRUE(app.Commit().ok());
   EpochSnapshot s2 = (*live)->Pin();
-  auto sel2 = s2.engine->SelectInBox(box);
+  auto sel2 = s2.engine().SelectInBox(box);
   ASSERT_TRUE(sel2.ok()) << sel2.status().ToString();
   EXPECT_EQ(sel2->row_ids, BruteForceInBox(*s2.table, box));
   EXPECT_TRUE(PathExists(idx_dir + "/x.gim.quarantined") ||
@@ -260,8 +260,7 @@ TEST(ShardedLiveAppendTest, AppendGrowsShardPastCreationBbox) {
   FlatTable batch = MakeBatch(50, 13, Box(150, 150, 200, 200));
   ASSERT_TRUE(router.Append(batch).ok());
 
-  ShardsView view = router.View();
-  EXPECT_EQ(view.total_rows, 4050u);
+  EXPECT_EQ(router.View()->total_rows, 4050u);
   auto sel = router.SelectInBox(Box(140, 140, 210, 210));
   ASSERT_TRUE(sel.ok()) << sel.status().ToString();
   EXPECT_EQ(sel->count(), 50u);
@@ -309,8 +308,7 @@ TEST(ShardedLiveAppendTest, TwoAppendersRacingDisjointShardsLoseNothing) {
   tb.join();
 
   const uint64_t expect_rows = 4000 + 2 * kBatches * kRows;
-  ShardsView view = router.View();
-  EXPECT_EQ(view.total_rows, expect_rows);
+  EXPECT_EQ(router.View()->total_rows, expect_rows);
   auto all = router.SelectInBox(Box(0, 0, 100, 100));
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->count(), expect_rows);
@@ -344,8 +342,8 @@ TEST(ShardedLiveAppendTest, PinnedViewSupersededByAppendsStaysIdentical) {
   ShardRouter router(*sharded, eo);
 
   Box box(10, 10, 90, 90);
-  ShardsView view0 = router.View();
-  auto before = router.Select(view0, Geometry(box), 0.0, {});
+  auto view0 = router.View();
+  auto before = view0->Select(Geometry(box), 0.0, {});
   ASSERT_TRUE(before.ok());
 
   for (int i = 0; i < 3; ++i) {
@@ -355,15 +353,15 @@ TEST(ShardedLiveAppendTest, PinnedViewSupersededByAppendsStaysIdentical) {
 
   // The superseded view answers bit-identically: same shard handles, same
   // bases, no appended row visible.
-  auto again = router.Select(view0, Geometry(box), 0.0, {});
+  auto again = view0->Select(Geometry(box), 0.0, {});
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->row_ids, before->row_ids);
-  EXPECT_EQ(view0.total_rows, 3000u);
+  EXPECT_EQ(view0->total_rows, 3000u);
 
-  ShardsView view1 = router.View();
-  EXPECT_GT(view1.version, view0.version);
-  EXPECT_EQ(view1.total_rows, 3000u + 3 * 128);
-  auto now = router.Select(view1, Geometry(box), 0.0, {});
+  auto view1 = router.View();
+  EXPECT_GT(view1->version, view0->version);
+  EXPECT_EQ(view1->total_rows, 3000u + 3 * 128);
+  auto now = view1->Select(Geometry(box), 0.0, {});
   ASSERT_TRUE(now.ok());
   EXPECT_EQ(now->count(), before->count() + 3 * 128);
 }
@@ -375,7 +373,7 @@ TEST(ShardedLiveAppendTest, PinnedViewSurvivesReShardAndRouterTeardown) {
   auto sharded = ShardedTable::Create(*source, so);
   ASSERT_TRUE(sharded.ok());
 
-  ShardsView pinned;
+  std::shared_ptr<const ShardsView> pinned;
   std::vector<uint64_t> expect_rows;
   {
     EngineOptions eo;
@@ -395,8 +393,8 @@ TEST(ShardedLiveAppendTest, PinnedViewSurvivesReShardAndRouterTeardown) {
 
   // The pinned view owns its shard handles: reads through it remain valid
   // and value-identical after re-shard + router teardown.
-  ASSERT_EQ(pinned.total_rows, 2000u);
-  auto reader = ShardedColumnReader::Make(pinned, "z");
+  ASSERT_EQ(pinned->total_rows, 2000u);
+  auto reader = ShardedColumnReader::Make(*pinned, "z");
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   std::vector<double> zs(expect_rows.size());
   ASSERT_TRUE(

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
+#include <memory>
 #include <mutex>
 #include <random>
 #include <string>
@@ -256,10 +257,77 @@ TEST(ServerEquivalenceTest, SharedScanBatchedPathBitIdentical) {
   DiffAgainstOracle(observed, &catalog);
 }
 
+/// A one-worker server whose worker is plugged: the first task it pops
+/// (`plug_sql`, sent by Start) waits in the execute hook until Release, so
+/// statements sent meanwhile pile up in the admission queue.
+class PluggedServer {
+ public:
+  PluggedServer(Catalog* catalog, bool batching) {
+    server::ServerOptions sopts;
+    sopts.workers = 1;
+    sopts.shared_scan_batching = batching;
+    sopts.before_execute_hook = [this](const server::QueryTask&) {
+      if (held_.fetch_add(1) == 0) {
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait(lock, [&] { return release_; });
+      }
+    };
+    srv_ = std::make_unique<server::Server>(catalog, sopts);
+  }
+  ~PluggedServer() {
+    Release();
+    if (plug_.joinable()) plug_.join();
+    srv_->Stop();
+  }
+
+  void Start(const std::string& plug_sql) {
+    ASSERT_TRUE(srv_->Start().ok());
+    plug_ = std::thread([this, plug_sql] {
+      auto client = Connect();
+      ASSERT_TRUE(client.ok());
+      auto rs = client->Query(plug_sql);
+      ASSERT_TRUE(rs.ok());
+      EXPECT_TRUE(rs->ok);
+    });
+    while (held_.load() == 0) std::this_thread::yield();
+  }
+  Result<server::Client> Connect() const {
+    server::Client::Options copts;
+    copts.port = srv_->port();
+    return server::Client::Connect(copts);
+  }
+  void WaitQueued(size_t n) const {
+    while (srv_->stats().queue_depth < n) std::this_thread::yield();
+  }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      release_ = true;
+    }
+    cv_.notify_all();
+  }
+  /// Drains the server and returns its final counters.
+  server::ServerStats Stop() {
+    Release();
+    if (plug_.joinable()) plug_.join();
+    srv_->Stop();
+    return srv_->stats();
+  }
+
+ private:
+  std::unique_ptr<server::Server> srv_;
+  std::thread plug_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool release_ = false;
+  std::atomic<int> held_{0};
+};
+
 // x/y range statements through the server, with shared-scan batching
 // forced (the lone worker is plugged while each client's first statement
 // queues) and with batching off: flat, live and sharded K = 1 / K = 4
-// tables all answer bit-identically to a full scan.
+// tables all answer bit-identically to a full scan, and with batching on
+// every layout — sharded included — answers through shared scans.
 TEST(ServerEquivalenceTest, XyRangeStatementsMatchFullScanBatchedAndSolo) {
   auto source = xytest::MakeXyTable(8000, 31);
   const auto queries = xytest::MakeXyQueries(907, 24, xytest::XyExtent());
@@ -286,82 +354,111 @@ TEST(ServerEquivalenceTest, XyRangeStatementsMatchFullScanBatchedAndSolo) {
                     .ok());
   }
 
-  // Flat statements first, so every client opens with a batchable one.
   struct Case {
     std::string sql;
     const std::vector<std::vector<sql::Value>>* want;
   };
-  std::vector<Case> cases;
-  for (const char* name : {"flat", "live", "shard1", "shard4"}) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      cases.push_back({xytest::AggregateSql(name, queries[i]),
-                       &expected[i].aggregate});
-      cases.push_back({xytest::ProjectSql(name, queries[i]),
-                       &expected[i].projection});
+  for (bool batching : {true, false}) {
+    for (const std::string name : {"flat", "live", "shard1", "shard4"}) {
+      SCOPED_TRACE(testing::Message()
+                   << "batching=" << batching << " table=" << name);
+      std::vector<Case> cases;
+      for (size_t i = 0; i < queries.size(); ++i) {
+        cases.push_back({xytest::AggregateSql(name, queries[i]),
+                         &expected[i].aggregate});
+        cases.push_back({xytest::ProjectSql(name, queries[i]),
+                         &expected[i].projection});
+      }
+      PluggedServer srv(&catalog, batching);
+      srv.Start("SELECT COUNT(*) FROM " + name);
+      constexpr size_t kClients = 8;
+      std::vector<std::thread> clients;
+      for (size_t c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+          auto client = srv.Connect();
+          ASSERT_TRUE(client.ok());
+          for (size_t i = c; i < cases.size(); i += kClients) {
+            SCOPED_TRACE(cases[i].sql);
+            auto outcome = client->Query(cases[i].sql);
+            ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+            ASSERT_TRUE(outcome->ok) << outcome->error.ToStatus().ToString();
+            EXPECT_TRUE(
+                xytest::SameRows(outcome->result.rows, *cases[i].want));
+          }
+        });
+      }
+      srv.WaitQueued(kClients);
+      srv.Release();
+      for (auto& t : clients) t.join();
+      server::ServerStats s = srv.Stop();
+      EXPECT_EQ(s.batch_fallbacks, 0u);
+      if (batching) {
+        EXPECT_GE(s.batches, 1u);
+        EXPECT_GT(s.batch_members, 0u);
+      } else {
+        EXPECT_EQ(s.batches, 0u);
+      }
     }
   }
+}
 
-  for (bool batching : {true, false}) {
-    SCOPED_TRACE(testing::Message() << "batching=" << batching);
-    std::mutex mu;
-    std::condition_variable cv;
-    bool release = false;
-    std::atomic<int> held{0};
-    server::ServerOptions sopts;
-    sopts.workers = 1;
-    sopts.shared_scan_batching = batching;
-    sopts.before_execute_hook = [&](const server::QueryTask&) {
-      if (held.fetch_add(1) == 0) {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return release; });
-      }
-    };
-    server::Server srv(&catalog, sopts);
-    ASSERT_TRUE(srv.Start().ok());
-    const int port = srv.port();
-    std::thread plug([&] {
-      server::Client::Options copts;
-      copts.port = port;
-      auto client = server::Client::Connect(copts);
-      ASSERT_TRUE(client.ok());
-      auto rs = client->Query("SELECT COUNT(*) FROM flat");
-      ASSERT_TRUE(rs.ok());
-      EXPECT_TRUE(rs->ok);
-    });
-    while (held.load() == 0) std::this_thread::yield();
+// The batch key is the pinned view: two identical queued statements on
+// one view share a shared scan, but an append publishing between them
+// gives the second a new view, so the two never share a batch and each
+// answers as it would alone at its own view.
+TEST(ServerEquivalenceTest, AppendBetweenQueuedPlansSplitsTheBatch) {
+  auto initial = xytest::MakeXyTable(4000, 41);
+  auto batch = xytest::MakeXyTable(500, 42);
+  const std::string sql =
+      "SELECT COUNT(*), SUM(z) FROM live WHERE x BETWEEN 5100 AND 5900 AND "
+      "y BETWEEN 5100 AND 5900";
+  for (bool append_between : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "append_between=" << append_between);
+    auto live = LiveTable::Create(initial);
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    Catalog catalog;
+    ASSERT_TRUE(catalog.AddLivePointCloud("live", *live).ok());
+    sql::SessionOptions solo_opts;
+    solo_opts.record_trace = false;
+    solo_opts.record_flight = false;
+    sql::Session solo(&catalog, solo_opts);
+    auto before = solo.Execute(sql);
+    ASSERT_TRUE(before.ok()) << before.status().ToString();
 
-    constexpr size_t kClients = 8;
+    PluggedServer srv(&catalog, /*batching=*/true);
+    srv.Start("SELECT COUNT(*) FROM live");
+    std::vector<sql::ResultSet> got(2);
     std::vector<std::thread> clients;
-    for (size_t c = 0; c < kClients; ++c) {
+    for (size_t c = 0; c < 2; ++c) {
+      if (c == 1 && append_between) {
+        TableAppender app(*live);
+        ASSERT_TRUE(app.StageBatch(*batch).ok());
+        ASSERT_TRUE(app.Commit().ok());
+      }
       clients.emplace_back([&, c] {
-        server::Client::Options copts;
-        copts.port = port;
-        auto client = server::Client::Connect(copts);
+        auto client = srv.Connect();
         ASSERT_TRUE(client.ok());
-        for (size_t i = c; i < cases.size(); i += kClients) {
-          SCOPED_TRACE(cases[i].sql);
-          auto outcome = client->Query(cases[i].sql);
-          ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-          ASSERT_TRUE(outcome->ok) << outcome->error.ToStatus().ToString();
-          EXPECT_TRUE(xytest::SameRows(outcome->result.rows, *cases[i].want));
-        }
+        auto outcome = client->Query(sql);
+        ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+        ASSERT_TRUE(outcome->ok) << outcome->error.ToStatus().ToString();
+        got[c] = std::move(outcome->result);
       });
+      srv.WaitQueued(c + 1);
     }
-    while (srv.stats().queue_depth < kClients) std::this_thread::yield();
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      release = true;
-    }
-    cv.notify_all();
-    plug.join();
+    srv.Release();
     for (auto& t : clients) t.join();
-    srv.Stop();
-    server::ServerStats s = srv.stats();
-    EXPECT_EQ(s.batch_fallbacks, 0u);
-    if (batching) {
-      EXPECT_GE(s.batches, 1u);
-    } else {
+    server::ServerStats s = srv.Stop();
+
+    auto after = solo.Execute(sql);
+    ASSERT_TRUE(after.ok()) << after.status().ToString();
+    EXPECT_TRUE(xytest::SameRows(got[0].rows, before->rows));
+    EXPECT_TRUE(xytest::SameRows(got[1].rows, after->rows));
+    if (append_between) {
       EXPECT_EQ(s.batches, 0u);
+      EXPECT_NE(before->rows[0][0].number, after->rows[0][0].number);
+    } else {
+      EXPECT_EQ(s.batches, 1u);
+      EXPECT_EQ(s.batch_members, 2u);
     }
   }
 }

@@ -1,9 +1,10 @@
 // ShardedTable / ShardRouter unit suite: builder properties (Hilbert
 // ordering, contiguity, bbox tightness), degenerate inputs, crash-safe
 // persistence (fault-injection sweep over WriteShardedTableDir), the
-// shard-layout ingredient of the query result cache key (re-shard and
-// single-shard mutation invalidate by construction), the pruning
-// telemetry counters, and the EXPLAIN ANALYZE shard footer.
+// per-shard result cache (re-shard, single-shard mutation and appends
+// invalidate exactly the affected shards), the pruning telemetry
+// counters, the EXPLAIN ANALYZE shard footer, NEAR over shards, and the
+// planner extent after appends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include "columns/column_file.h"
 #include "columns/sharded_table.h"
 #include "core/shard_router.h"
+#include "geom/predicates.h"
 #include "gis/catalog.h"
 #include "sfc/hilbert.h"
 #include "sql/session.h"
@@ -274,9 +276,23 @@ TEST(ShardedTableTest, CrashSweepLeavesOldOrNewLayout) {
   }
 }
 
-// The router's cache key embeds the shard layout (layout id, generation,
-// per-shard column epochs): an exact repeat hits, while re-sharding or
-// mutating any single shard invalidates by construction.
+// The shards scanned (not covered or pruned) by a selection, from its
+// shard.scan spans.
+std::vector<uint64_t> ScannedShards(const QueryProfile& profile) {
+  std::vector<uint64_t> out;
+  for (const OperatorProfile& op : profile.operators()) {
+    if (op.name != "shard.scan") continue;
+    for (const auto& [k, v] : op.attrs) {
+      if (k == "shard") out.push_back(std::stoull(v));
+    }
+  }
+  return out;
+}
+
+// The result cache lives in the shard engines: each scanned shard caches
+// its local answer under its slice table id and column epochs. An exact
+// repeat hits once per scanned shard, a re-shard misses everywhere, and
+// mutating one shard invalidates exactly that shard's entries.
 TEST(ShardRouterTest, CacheKeyTracksShardLayoutAndEpochs) {
   auto source = MakeTable(3000, 21, Box(0, 0, 200, 200));
   auto cache = std::make_shared<cache::QueryResultCache>();
@@ -291,55 +307,118 @@ TEST(ShardRouterTest, CacheKeyTracksShardLayoutAndEpochs) {
   auto sharded = ShardedTable::Create(*source, so);
   ASSERT_TRUE(sharded.ok());
   ShardRouter router(*sharded, opts);
+  auto hits = [&](int tier) { return cache->Stats().tier[tier].hits; };
 
   const Box q(20, 20, 150, 140);
   auto cold = router.SelectInBox(q);
   ASSERT_TRUE(cold.ok());
-  const uint64_t h0 = cache->Stats().tier[0].hits;
+  const std::vector<uint64_t> scanned = ScannedShards(cold->profile);
+  ASSERT_GE(scanned.size(), 2u);
+  ASSERT_TRUE(std::find(scanned.begin(), scanned.end(), 2u) != scanned.end());
+  EXPECT_EQ(hits(0), 0u);
   auto warm = router.SelectInBox(q);
   ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(cache->Stats().tier[0].hits, h0 + 1);
+  EXPECT_EQ(hits(0), scanned.size());
   EXPECT_EQ(warm->row_ids, cold->row_ids);
-  // The replay is visible in the profile as a cache.hit span.
-  ASSERT_FALSE(warm->profile.operators().empty());
-  EXPECT_EQ(warm->profile.operators()[0].name, "cache.hit");
+  // Each replay is a cache.hit span nested under its shard.scan span.
+  const auto& ops = warm->profile.operators();
+  ASSERT_FALSE(ops.empty());
+  EXPECT_EQ(ops[0].name, "shard.route");
+  size_t nested_hits = 0;
+  for (const OperatorProfile& op : ops) {
+    if (op.name != "cache.hit") continue;
+    ASSERT_GE(op.parent, 0);
+    EXPECT_EQ(ops[op.parent].name, "shard.scan");
+    ++nested_hits;
+  }
+  EXPECT_EQ(nested_hits, scanned.size());
 
-  // Re-shard: a different layout (even over identical data) must miss.
+  // Re-shard: a different layout (even over identical data) has new slice
+  // tables and must miss in every shard.
   ShardingOptions so2;
   so2.num_shards = 8;
   auto resharded = ShardedTable::Create(*source, so2);
   ASSERT_TRUE(resharded.ok());
   ShardRouter router2(*resharded, opts);
-  const uint64_t h1 = cache->Stats().tier[0].hits;
+  const uint64_t h1 = hits(0);
   auto miss = router2.SelectInBox(q);
   ASSERT_TRUE(miss.ok());
-  EXPECT_EQ(cache->Stats().tier[0].hits, h1);
+  EXPECT_EQ(hits(0), h1);
   EXPECT_EQ(miss->row_ids, cold->row_ids);
 
-  // Mutating one shard's x column (epoch bump, identical bytes) must
-  // invalidate every cached selection of the first router.
+  // Mutating shard 2's x column (epoch bump, identical bytes) invalidates
+  // shard 2's entry only; every other scanned shard still hits.
   (void)(*sharded)->shard(2).table->GetColumn("x").value()->BeginRawUpdate();
-  const uint64_t h2 = cache->Stats().tier[0].hits;
+  const uint64_t h2 = hits(0);
   auto after = router.SelectInBox(q);
   ASSERT_TRUE(after.ok());
-  EXPECT_EQ(cache->Stats().tier[0].hits, h2);
+  EXPECT_EQ(hits(0), h2 + scanned.size() - 1);
   EXPECT_EQ(after->row_ids, cold->row_ids);
 
-  // Aggregates: tier (c) hit on repeat, invalidated by an epoch bump of
-  // the aggregated column in any one shard.
+  // Aggregates over K > 1 shards merge values read through the pinned
+  // view: a repeat replays each scanned shard's selection from tier (a)
+  // and caches no merged aggregate, so an epoch bump of the aggregated
+  // column needs no invalidation to stay exact.
   auto v1 = router.Aggregate(Geometry(q), 0, {}, "z", AggKind::kSum);
   ASSERT_TRUE(v1.ok());
-  const uint64_t a0 = cache->Stats().tier[2].hits;
+  const uint64_t a0 = hits(0);
   auto v2 = router.Aggregate(Geometry(q), 0, {}, "z", AggKind::kSum);
   ASSERT_TRUE(v2.ok());
-  EXPECT_EQ(cache->Stats().tier[2].hits, a0 + 1);
+  EXPECT_EQ(hits(0), a0 + scanned.size());
+  EXPECT_EQ(hits(2), 0u);
   EXPECT_EQ(*v1, *v2);
   (void)(*sharded)->shard(0).table->GetColumn("z").value()->BeginRawUpdate();
-  const uint64_t a1 = cache->Stats().tier[2].hits;
   auto v3 = router.Aggregate(Geometry(q), 0, {}, "z", AggKind::kSum);
   ASSERT_TRUE(v3.ok());
-  EXPECT_EQ(cache->Stats().tier[2].hits, a1);
+  EXPECT_EQ(hits(0), a0 + 2 * scanned.size());
   EXPECT_EQ(*v1, *v3);
+}
+
+// A router append publishes replacement shards for exactly the shards the
+// batch routes to: their cache entries miss, every other shard keeps
+// hitting, and the answer includes the appended row.
+TEST(ShardRouterTest, AppendInvalidatesExactlyTheAppendedShards) {
+  auto source = MakeTable(3000, 22, Box(0, 0, 200, 200));
+  auto cache = std::make_shared<cache::QueryResultCache>();
+  EngineOptions opts;
+  opts.num_threads = 1;
+  opts.cache.budget_bytes = 4ull << 20;
+  opts.cache.instance = cache;
+  ShardingOptions so;
+  so.num_shards = 4;
+  auto sharded = ShardedTable::Create(*source, so);
+  ASSERT_TRUE(sharded.ok());
+  ShardRouter router(*sharded, opts);
+
+  const Box q(0, 0, 200, 200);
+  const std::vector<AttributeRange> z_range = {{"z", -100, 100}};
+  auto cold = router.Select(Geometry(q), 0, z_range);
+  ASSERT_TRUE(cold.ok());
+  ASSERT_EQ(ScannedShards(cold->profile).size(), 4u);
+
+  // One row at shard 1's first point routes to shard 1 (its Hilbert key
+  // is shard 1's start key).
+  const FlatTable& shard1 = *(*sharded)->shard(1).table;
+  FlatTable batch("batch", shard1.schema());
+  for (const ColumnPtr& col : shard1.columns()) {
+    batch.column(col->name())->AppendRaw(col->raw_data(), 1);
+  }
+  ASSERT_TRUE(router.Append(batch).ok());
+
+  const uint64_t h0 = cache->Stats().tier[0].hits;
+  auto after = router.Select(Geometry(q), 0, z_range);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(cache->Stats().tier[0].hits, h0 + 3);
+  EXPECT_EQ(after->row_ids.size(), cold->row_ids.size() + 1);
+  for (const OperatorProfile& op : after->profile.operators()) {
+    if (op.name != "cache.hit") continue;
+    const OperatorProfile& scan = after->profile.operators()[op.parent];
+    for (const auto& [k, v] : scan.attrs) {
+      if (k == "shard") {
+        EXPECT_NE(v, "1");
+      }
+    }
+  }
 }
 
 // Appending rows to the LAST shard (bases stay valid) is the supported
@@ -494,7 +573,8 @@ TEST(ShardRouterTest, ExplainAnalyzeShowsShardFooter) {
   }
   EXPECT_NE(plan.find("bbox-prune shards"), std::string::npos) << plan;
 
-  // NEAR on a sharded table is rejected as unsupported, not misexecuted.
+  // NEAR scatters per shard: the count equals the brute-force answer, and
+  // the shard footer reports the routing.
   Catalog with_layer;
   ASSERT_TRUE(with_layer.AddShardedPointCloud("pc", *sharded).ok());
   auto layer = std::make_shared<VectorLayer>("roads");
@@ -504,10 +584,60 @@ TEST(ShardRouterTest, ExplainAnalyzeShowsShardFooter) {
   f.geometry = Geometry(Box(0, 0, 10, 10));
   layer->Add(std::move(f));
   ASSERT_TRUE(with_layer.AddLayer(layer).ok());
+  uint64_t expect = 0;
+  for (uint64_t r = 0; r < source->num_rows(); ++r) {
+    const Point p{source->column("x")->GetDouble(r),
+                  source->column("y")->GetDouble(r)};
+    expect += GeometryDWithin(layer->feature(0).geometry, p, 5);
+  }
+  ASSERT_GT(expect, 0u);
   sql::Session s2(&with_layer);
   auto near = s2.Execute("SELECT COUNT(*) FROM pc WHERE NEAR(roads, 12210, 5)");
-  EXPECT_FALSE(near.ok());
-  EXPECT_EQ(near.status().code(), StatusCode::kUnsupported);
+  ASSERT_TRUE(near.ok()) << near.status().ToString();
+  EXPECT_EQ(near->rows[0][0].number, static_cast<double>(expect));
+  auto near_explain = s2.Execute(
+      "EXPLAIN ANALYZE SELECT COUNT(*) FROM pc WHERE NEAR(roads, 12210, 5)");
+  ASSERT_TRUE(near_explain.ok()) << near_explain.status().ToString();
+  std::string near_text;
+  for (const auto& row : near_explain->rows) {
+    near_text += row[0].ToString() + "\n";
+  }
+  EXPECT_NE(near_text.find("shards: scanned "), std::string::npos)
+      << near_text;
+}
+
+// The planner's extent is the union of the pinned shards' bboxes, which
+// an append grows: a statement that leaves a side of the query box open
+// sees rows appended outside the layout's creation extent, in memory and
+// after reopening the persisted layout.
+TEST(ShardRouterTest, ExtentCoversRowsAppendedOutsideTheLayout) {
+  auto source = MakeTable(4000, 43, Box(0, 0, 100, 100));
+  ShardingOptions so;
+  so.num_shards = 4;
+  auto sharded = ShardedTable::Create(*source, so);
+  ASSERT_TRUE(sharded.ok());
+  TempDir dir("shard-extent");
+  ASSERT_TRUE(WriteShardedTableDir(**sharded, dir.path()).ok());
+  auto persisted = ReadShardedTableDir(dir.path());
+  ASSERT_TRUE(persisted.ok()) << persisted.status().ToString();
+
+  auto far = MakeTable(10, 44, Box(150, 150, 200, 200));
+  for (const auto& table : {*sharded, *persisted}) {
+    ShardRouter router(table);
+    ASSERT_TRUE(router.Append(*far).ok());
+  }
+  Catalog in_memory, reopened;
+  ASSERT_TRUE(in_memory.AddShardedPointCloud("pc", *sharded).ok());
+  ASSERT_TRUE(reopened.AddPointCloudDir(dir.path()).ok());
+  for (Catalog* catalog : {&in_memory, &reopened}) {
+    sql::Session session(catalog);
+    auto all = session.Execute("SELECT COUNT(*) FROM pc");
+    ASSERT_TRUE(all.ok()) << all.status().ToString();
+    EXPECT_EQ(all->rows[0][0].number, 4010.0);
+    auto beyond = session.Execute("SELECT COUNT(*) FROM pc WHERE x >= 120");
+    ASSERT_TRUE(beyond.ok()) << beyond.status().ToString();
+    EXPECT_EQ(beyond->rows[0][0].number, 10.0);
+  }
 }
 
 TEST(ShardRouterTest, SqlProjectionAndOrderByOverShards) {

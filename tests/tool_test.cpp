@@ -352,6 +352,55 @@ TEST_F(ToolTest, VerifyDetectsCorruptedShardColumn) {
   EXPECT_NE(text.find("shard_0000.g1/"), std::string::npos) << text;
 }
 
+// `geocol serve --cache-mb` (default 64) binds the result cache of every
+// point cloud, sharded included: a statement repeated against a served
+// sharded dir hits the shard engines' cache, and the drain summary says
+// so.
+TEST_F(ToolTest, ServeShardedDirHitsTheResultCache) {
+  const std::string dir = tmp_->File("served_sharded");
+  ASSERT_EQ(RunTool("shard " + tmp_->File("table") + " " + dir + " --shards 4",
+                    nullptr, tmp_),
+            0);
+  const std::string tool = GEOCOL_TOOL_PATH;
+  const std::string log = tmp_->File("serve_sharded.log");
+  const std::string sql = "\"SELECT COUNT(*) FROM ahn2 WHERE z >= 0\"";
+  // Start the server, read its port off the listening line, repeat the
+  // statement three times (a large result is admitted on its second
+  // sighting), then drain with SIGINT.
+  const std::string script =
+      tool + " serve " + dir + " --no-flight > " + log + " 2>&1 & pid=$!; " +
+      "for i in $(seq 200); do port=$(sed -n " +
+      R"('s/.*listening on [^:]*:\([0-9]*\).*/\1/p' )" + log +
+      "); [ -n \"$port\" ] && break; sleep 0.05; done; " + tool +
+      " client --port \"$port\" " + sql + " " + sql + " " + sql + " > " +
+      log + ".client 2>&1; rc=$?; kill -INT $pid; wait $pid; exit $rc";
+  ASSERT_EQ(std::system(script.c_str()), 0) << Slurp(log + ".client");
+  const std::string text = Slurp(log);
+  const size_t at = text.find("geocol serve: result cache ");
+  ASSERT_NE(at, std::string::npos) << text;
+  const std::string prefix = "geocol serve: result cache ";
+  const uint64_t hits = std::stoull(text.substr(at + prefix.size()));
+  EXPECT_GE(hits, 1u) << text;
+}
+
+// `geocol cache` on a sharded dir: the repeat's cache.hit spans sit under
+// the shard.scan spans, and the run still reports the hit.
+TEST_F(ToolTest, CacheCommandSeesShardLevelHits) {
+  const std::string dir = tmp_->File("cached_sharded");
+  ASSERT_EQ(RunTool("shard " + tmp_->File("table") + " " + dir + " --shards 4",
+                    nullptr, tmp_),
+            0);
+  std::string out;
+  ASSERT_EQ(RunTool("cache " + dir +
+                        " \"SELECT COUNT(*) FROM ahn2 WHERE z >= 0\""
+                        " --repeat 3 --no-flight",
+                    &out, tmp_),
+            0);
+  const std::string text = Slurp(out);
+  EXPECT_NE(text.find("run 3:"), std::string::npos) << text;
+  EXPECT_NE(text.find("[cache hit]"), std::string::npos) << text;
+}
+
 TEST_F(ToolTest, LoadWithCorruptTileFailsAndLeavesNoManifest) {
   // A truncated tile in the middle of the directory: `geocol load` exits
   // non-zero and no table is committed.

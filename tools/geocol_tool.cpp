@@ -412,7 +412,7 @@ int CmdIngest(const Args& args) {
     auto sharded = ReadShardedTableDir(dir);
     if (!sharded.ok()) return Fail(sharded.status());
     ShardRouter router(*sharded, EngineOptions{});
-    const uint64_t before = router.View().total_rows;
+    const uint64_t before = router.View()->total_rows;
     for (size_t i = 1; i < args.positional.size(); ++i) {
       auto batch = ReadBatchFile(args.positional[i], router.schema());
       if (!batch.ok()) return Fail(batch.status());
@@ -425,9 +425,9 @@ int CmdIngest(const Args& args) {
     std::printf(
         "appended %llu rows across %zu Hilbert shards (now %llu rows, "
         "generation %llu) in %.2f s\n",
-        static_cast<unsigned long long>(router.View().total_rows - before),
+        static_cast<unsigned long long>(router.View()->total_rows - before),
         router.num_shards(),
-        static_cast<unsigned long long>(router.View().total_rows),
+        static_cast<unsigned long long>(router.View()->total_rows),
         static_cast<unsigned long long>(m->generation), t.ElapsedSeconds());
     return 0;
   }
@@ -663,10 +663,10 @@ int CmdQuery(const Args& args) {
   if (args.positional.size() < 2) return Usage();
   Catalog catalog;
   if (Status st = SetupCatalog(args, &catalog); !st.ok()) return Fail(st);
-  std::string first = catalog.PointCloudNames().empty()
-                          ? catalog.ShardedPointCloudNames()[0] + " (sharded)"
-                          : catalog.PointCloudNames()[0];
-  std::printf("datasets: %s", first.c_str());
+  const std::string first = catalog.PointCloudNames()[0];
+  const size_t shards = catalog.View(first).value()->shards.size();
+  std::printf("datasets: %s%s", first.c_str(),
+              shards > 1 ? " (sharded)" : "");
   for (const auto& l : catalog.LayerNames()) std::printf(", %s", l.c_str());
   std::printf("\n");
   sql::Session session(&catalog);
@@ -767,11 +767,13 @@ int CmdCache(const Args& args) {
     Timer t;
     auto rs = session.Execute(args.positional[1]);
     if (!rs.ok()) return Fail(rs.status());
-    // A tier (a) hit shows up as the profile collapsing to one root
-    // cache.hit span (after layer.class_select for NEAR).
+    // A tier (a) hit shows up as a cache.hit span at the root (after
+    // layer.class_select for NEAR) or, on a sharded table, nested under a
+    // shard.scan span.
     const auto& ops = session.last_profile().operators();
-    bool hit = std::any_of(ops.begin(), ops.end(), [](const auto& op) {
-      return op.parent < 0 && op.name == "cache.hit";
+    bool hit = std::any_of(ops.begin(), ops.end(), [&](const auto& op) {
+      return op.name == "cache.hit" &&
+             (op.parent < 0 || ops[op.parent].name == "shard.scan");
     });
     std::printf("run %llu: %8.3f ms  %llu row(s)%s\n",
                 static_cast<unsigned long long>(i + 1), t.ElapsedMillis(),
@@ -1117,9 +1119,7 @@ int CmdServe(const Args& args) {
   const uint64_t cache_mb = args.U64("--cache-mb", 64);
   if (cache_mb > 0) {
     for (const std::string& name : catalog.PointCloudNames()) {
-      if (auto engine = catalog.GetEngine(name); engine.ok()) {
-        (*engine)->set_cache_budget(cache_mb * 1024 * 1024);
-      }
+      catalog.View(name).value()->set_cache_budget(cache_mb * 1024 * 1024);
     }
   }
   server::ServerOptions opts;
@@ -1273,9 +1273,7 @@ int CmdClient(const Args& args) {
                                       args.positional.end());
   const size_t sweep = args.U64("--sweep", 0);
   if (sweep > 0) {
-    std::string table = !oracle.PointCloudNames().empty()
-                            ? oracle.PointCloudNames()[0]
-                            : oracle.ShardedPointCloudNames()[0];
+    const std::string table = oracle.PointCloudNames()[0];
     auto ext = session.Execute(
         "SELECT MIN(x), MAX(x), MIN(y), MAX(y), MIN(z), MAX(z) FROM " +
         table);
